@@ -18,9 +18,12 @@ def accumulate_distance_curve(raw: np.ndarray, target: np.ndarray, out: np.ndarr
         hi = min(lo + _CHUNK, n)
         sums = np.cumsum(raw[lo:hi], axis=0)
         sums += carry
-        means = sums.mean(axis=1)
-        np.sqrt(np.mean((sums / means[:, None] - target) ** 2, axis=1), out=out[lo:hi])
         carry = sums[-1].copy()
+        # the rest works in place on the chunk buffer: no chunk-sized temporaries
+        sums /= sums.mean(axis=1)[:, None]
+        sums -= target
+        np.square(sums, out=sums)
+        np.sqrt(sums.mean(axis=1), out=out[lo:hi])
 
 
 def normalized_rmsd_single(raw: np.ndarray, target: np.ndarray, out: np.ndarray) -> None:

@@ -369,6 +369,13 @@ def _seed(value: str) -> int:
     return seed
 
 
+def _count(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return count
+
+
 def _checkpoints(spec: str | None, n: int) -> list[int]:
     if spec:
         try:
@@ -434,8 +441,8 @@ def build_parser() -> _Parser:
         default="eid,random",
         help="comma-separated subset of eid,contracted,demanded,random",
     )
-    p.add_argument("-n", type=int, help="customers to acquire (default: all pairable)")
-    p.add_argument("--reps", type=int, default=100, help="random-baseline repetitions")
+    p.add_argument("-n", type=_count, help="customers to acquire (default: all pairable)")
+    p.add_argument("--reps", type=_count, default=100, help="random-baseline repetitions")
     p.add_argument("--seed", type=_seed, required=True, help="master seed (required; no hidden entropy)")
     p.add_argument("--checkpoints", help="comma-separated steps for the reduction table")
     p.add_argument(

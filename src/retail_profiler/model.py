@@ -239,11 +239,16 @@ class CustomerDataset:
     def _index(self) -> dict[str, int]:
         return {cid: i for i, cid in enumerate(self.ids)}
 
-    def index_of(self, customer_id: str) -> int:
+    def rows_of(self, customer_ids) -> np.ndarray:
+        """Row indices of the given customer ids, in the order given."""
+        index = self._index
         try:
-            return self._index[customer_id]
-        except KeyError:
-            raise DataError(f"unknown customer id: {customer_id!r}") from None
+            return np.fromiter((index[cid] for cid in customer_ids), dtype=np.intp)
+        except KeyError as exc:
+            raise DataError(f"unknown customer id: {exc.args[0]!r}") from None
+
+    def index_of(self, customer_id: str) -> int:
+        return int(self.rows_of((customer_id,))[0])
 
     def record(self, i: int) -> CustomerRecord:
         return CustomerRecord(

@@ -26,31 +26,53 @@ from retail_profiler.pairing import PairTable
 
 STRATEGY_LABELS = ("eid", "contracted", "demanded", "random")
 
+# Columns per np.quantile call in baseline_band.
+QUANTILE_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class AcquisitionSequence:
-    """Ordered customer ids produced by one strategy run.
+    """Ordered dataset rows produced by one strategy run.
 
-    ``seed`` is whatever seeded the run: an int for direct calls, a derived
-    ``SeedSequence`` for baseline repetitions.
+    ``rows`` is a read-only ``intp`` array of row indices into ``dataset``,
+    the dataset the sequence was drawn from; customer ids are derived from it
+    only when asked for. The constructor takes ownership of ``rows`` and marks
+    it read-only. ``seed`` is whatever seeded the run: an int for direct
+    calls, a derived ``SeedSequence`` for baseline repetitions.
     """
 
-    ids: tuple[str, ...]
+    rows: np.ndarray
+    dataset: CustomerDataset
     strategy: str
     seed: object
 
     def __post_init__(self):
         if self.strategy not in STRATEGY_LABELS:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGY_LABELS}")
+        rows = np.asarray(self.rows, dtype=np.intp)
+        if rows.ndim != 1:
+            raise ValueError(f"sequence rows must be 1-d, got ndim={rows.ndim}")
+        if rows.size and (rows.min() < 0 or rows.max() >= len(self.dataset)):
+            raise ValueError(f"sequence rows must lie in 0..{len(self.dataset) - 1}")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.rows.size
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Customer ids in acquisition order."""
+        ids = self.dataset.ids
+        return tuple(ids[i] for i in self.rows.tolist())
 
     def prefix(self, n: int) -> "AcquisitionSequence":
         """The first n acquisitions of this run."""
-        if n >= len(self.ids):
+        if n >= self.rows.size:
             return self
-        return AcquisitionSequence(ids=self.ids[:n], strategy=self.strategy, seed=self.seed)
+        return AcquisitionSequence(
+            rows=self.rows[:n], dataset=self.dataset, strategy=self.strategy, seed=self.seed
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,23 +115,33 @@ class BaselineCurve:
         return float(self.median[i])
 
 
-def _require_kpis(table: PairTable) -> None:
+def _member_dataset(table: PairTable, dataset: CustomerDataset | None) -> CustomerDataset:
+    """The dataset whose rows the table's member lists index, checked for KPIs."""
     if not table.records:
         raise DataError("pair table is empty")
     if not table.has_kpis:
         raise ValueError("pair table has no KPIs attached; run attach_kpis first")
-    if any(r.n_k and not r.member_ids for r in table.records):
+    if table.dataset is None or any(r.member_rows is None for r in table.records):
         raise ValueError("pair table lacks member lists; reload it together with the customer data")
+    if dataset is not None and dataset is not table.dataset:
+        raise ValueError("dataset is not the one the pair table's member lists index")
+    return table.dataset
 
 
-def _pair_ordered_sequence(table: PairTable, sort_key, strategy: str, seed: int) -> AcquisitionSequence:
+def _pair_ordered_sequence(
+    table: PairTable, dataset: CustomerDataset, sort_key, strategy: str, seed: int
+) -> AcquisitionSequence:
+    dataset = _member_dataset(table, dataset)
+    records = sorted(table.records, key=sort_key)
+    rows = np.concatenate([r.member_rows for r in records])
     rng = np.random.default_rng(seed)
-    ids: list[str] = []
-    for record in sorted(table.records, key=sort_key):
-        members = list(record.member_ids)
-        rng.shuffle(members)
-        ids.extend(members)
-    return AcquisitionSequence(ids=tuple(ids), strategy=strategy, seed=seed)
+    lo = 0
+    for record in records:
+        hi = lo + record.member_rows.size
+        if hi - lo > 1:  # a singleton pair draws no random numbers
+            rng.shuffle(rows[lo:hi])
+        lo = hi
+    return AcquisitionSequence(rows=rows, dataset=dataset, strategy=strategy, seed=seed)
 
 
 def greedy_sequence(table: PairTable, dataset: CustomerDataset, seed: int) -> AcquisitionSequence:
@@ -118,9 +150,9 @@ def greedy_sequence(table: PairTable, dataset: CustomerDataset, seed: int) -> Ac
     Ties on the indicator are broken by ascending pair distance, then by
     (nace, location), so a run is fully determined by the seed.
     """
-    _require_kpis(table)
     return _pair_ordered_sequence(
         table,
+        dataset,
         sort_key=lambda r: (-r.E_k, r.d_k, r.key.nace, r.key.location),
         strategy="eid",
         seed=seed,
@@ -141,33 +173,25 @@ def power_sequence(
     """
     if key not in ("contracted", "demanded"):
         raise ValueError(f"power key must be 'contracted' or 'demanded', got {key!r}")
-    _require_kpis(table)
     if per_customer:
-        dataset = _dataset_of(table, dataset)
+        dataset = _member_dataset(table, dataset)
         idx = dataset.pairable_indices
         power = (
             dataset.contracted_kw[idx]
             if key == "contracted"
             else dataset.raw_demand[idx].mean(axis=1)
         )
-        ranked = sorted(zip(power, (dataset.ids[i] for i in idx)), key=lambda t: (-t[0], t[1]))
-        return AcquisitionSequence(
-            ids=tuple(cid for _, cid in ranked), strategy=key, seed=seed
-        )
+        ids = np.array([dataset.ids[i] for i in idx.tolist()])
+        rows = idx[np.lexsort((ids, -power))]
+        return AcquisitionSequence(rows=rows, dataset=dataset, strategy=key, seed=seed)
     attr = "avg_contracted" if key == "contracted" else "avg_demand"
     return _pair_ordered_sequence(
         table,
+        dataset,
         sort_key=lambda r: (-getattr(r, attr), r.d_k, r.key.nace, r.key.location),
         strategy=key,
         seed=seed,
     )
-
-
-def _dataset_of(table: PairTable, dataset: CustomerDataset | None) -> CustomerDataset:
-    got = dataset if dataset is not None else table.dataset
-    if got is None:
-        raise ValueError("no customer dataset available")
-    return got
 
 
 def random_sequence(dataset: CustomerDataset, n: int, seed) -> AcquisitionSequence:
@@ -179,9 +203,7 @@ def random_sequence(dataset: CustomerDataset, n: int, seed) -> AcquisitionSequen
         raise ValueError("sample size must be >= 0")
     rng = np.random.default_rng(seed)
     picks = rng.choice(pool, size=n, replace=False)
-    return AcquisitionSequence(
-        ids=tuple(dataset.ids[i] for i in picks), strategy="random", seed=seed
-    )
+    return AcquisitionSequence(rows=picks, dataset=dataset, strategy="random", seed=seed)
 
 
 def accumulate_curve(
@@ -190,17 +212,19 @@ def accumulate_curve(
     """Distance curve of the sequence's accumulated demand against the target.
 
     The running monthly sum is updated incrementally; total cost is linear in
-    the sequence length.
+    the sequence length. ``dataset`` must be the one the sequence was drawn
+    from.
     """
-    idx = np.fromiter(
-        (dataset.index_of(cid) for cid in seq.ids), dtype=np.intp, count=len(seq.ids)
-    )
-    if idx.size and not np.all(dataset.nonzero_mask[idx]):
-        bad = seq.ids[int(np.flatnonzero(~dataset.nonzero_mask[idx])[0])]
+    if seq.dataset is not dataset:
+        raise ValueError("sequence was drawn from a different dataset")
+    rows = seq.rows
+    zero = ~dataset.nonzero_mask[rows]
+    if zero.any():
+        bad = dataset.ids[rows[zero.argmax()]]
         raise DataError(f"customer {bad!r} has zero demand and cannot be accumulated")
-    distances = kernels.accumulate_distance_curve(dataset.raw_demand[idx], target.values)
+    distances = kernels.accumulate_distance_curve(dataset.raw_demand[rows], target.values)
     return DistanceCurve(
-        steps=np.arange(1, idx.size + 1), distance=distances, strategy=seq.strategy
+        steps=np.arange(1, rows.size + 1), distance=distances, strategy=seq.strategy
     )
 
 
@@ -216,25 +240,43 @@ def baseline_band(
 
     Repetition r uses the child seed ``SeedSequence([seed, r])``; repetitions
     are independent and may run on a thread pool, with results merged by
-    repetition index so the outcome is order-insensitive.
+    repetition index so the outcome is order-insensitive. Each repetition
+    writes its curve into its own row of one preallocated ``reps x n``
+    float64 stack, the baseline's only full-size buffer.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    stack = np.empty((reps, n), dtype=np.float64)
 
-    def one(rep: int) -> np.ndarray:
+    def one(rep: int) -> None:
         seq = random_sequence(dataset, n, np.random.SeedSequence([seed, rep]))
-        return accumulate_curve(seq, dataset, target).distance
+        stack[rep] = accumulate_curve(seq, dataset, target).distance
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = list(pool.map(one, range(reps)))
+            list(pool.map(one, range(reps)))  # re-raises a repetition's error
     else:
-        curves = [one(rep) for rep in range(reps)]
-    stack = np.vstack(curves)
-    q1, median, q3 = np.quantile(stack, [0.25, 0.5, 0.75], axis=0)
+        for rep in range(reps):
+            one(rep)
+    q1, median, q3 = _quartiles(stack)
     return BaselineCurve(
         steps=np.arange(1, n + 1), median=median, q1=q1, q3=q3, repetitions=reps
     )
+
+
+def _quartiles(stack: np.ndarray) -> np.ndarray:
+    """Column-wise (q1, median, q3) of a ``reps x n`` stack, rows 0..2 of the result.
+
+    Taken over blocks of ``QUANTILE_BLOCK`` columns so the partition copy
+    ``np.quantile`` makes stays small; each column's quantiles depend on that
+    column alone, so the result equals one call over the whole stack.
+    """
+    n = stack.shape[1]
+    out = np.empty((3, n), dtype=np.float64)
+    for lo in range(0, n, QUANTILE_BLOCK):
+        hi = min(lo + QUANTILE_BLOCK, n)
+        out[:, lo:hi] = np.quantile(stack[:, lo:hi], [0.25, 0.5, 0.75], axis=0)
+    return out
 
 
 def reduction_curve(

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import retail_profiler
 from retail_profiler import metrics, pairing, targets
 from retail_profiler.cli import main, parse_target_spec
 from retail_profiler.model import DataError, load_customers
@@ -333,6 +338,44 @@ class TestSimulate:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [("-n", "0"), ("-n", "-5"), ("--reps", "0")])
+    def test_bad_count_is_usage_error(self, workspace, tmp_path, flag, value):
+        src = Path(retail_profiler.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "retail_profiler.cli", "simulate",
+                "--customers", str(workspace / "data" / "customers.csv"),
+                "--pairs", str(workspace / "kpis" / "pairs.csv"),
+                "--target", "solar:default",
+                "--seed", "1",
+                "--out", str(tmp_path / "sim"),
+                flag, value,
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_thread_count_keeps_bytes(self, workspace, tmp_path):
+        args = [
+            "simulate",
+            "--customers", str(workspace / "data" / "customers.csv"),
+            "--pairs", str(workspace / "kpis" / "pairs.csv"),
+            "--target", "solar:default",
+            "--strategies", "eid,contracted,demanded,random",
+            "-n", "300",
+            "--reps", "9",
+            "--seed", "4",
+        ]
+        assert main(args + ["--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
+        assert main(args + ["--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
+        for name in ("baseline.csv", "curve_eid.csv", "curve_contracted.csv", "curve_demanded.csv"):
+            assert digest(tmp_path / "t1" / name) == digest(tmp_path / "t2" / name)
 
     def test_threads_env_fallback(self, workspace, tmp_path, monkeypatch):
         out_serial = tmp_path / "serial"

@@ -68,6 +68,14 @@ class TestBackends:
         assert np.allclose(out, naive_rmsd(raw.tolist(), targets.tolist()), rtol=1e-12, atol=1e-14)
 
 
+def test_numpy_accumulate_carries_across_chunks(sample, monkeypatch):
+    raw, target = sample
+    monkeypatch.setattr(_kernels_py, "_CHUNK", 7)
+    out = np.empty(len(raw))
+    _kernels_py.accumulate_distance_curve(raw, target, out)
+    assert np.allclose(out, naive_accumulate(raw.tolist(), target.tolist()), rtol=1e-12, atol=1e-14)
+
+
 @pytest.mark.skipif(_compiled is None, reason="compiled kernels unavailable")
 class TestParity:
     def test_backends_agree_closely(self, sample):

@@ -6,6 +6,7 @@ import pytest
 from retail_profiler.model import DataError, normalize_profile
 from retail_profiler.pairing import PairRecord, PairTable, attach_kpis, build_pairs
 from retail_profiler.simulate import (
+    QUANTILE_BLOCK,
     AcquisitionSequence,
     BaselineCurve,
     DistanceCurve,
@@ -15,6 +16,7 @@ from retail_profiler.simulate import (
     power_sequence,
     random_sequence,
     reduction_curve,
+    _quartiles,
     write_baseline,
     write_curve,
 )
@@ -28,6 +30,28 @@ RESOLVER = constant_resolver(FLAT)
 def kpi_table(rows, d_star=0.5):
     ds = make_dataset(rows)
     return ds, attach_kpis(build_pairs(ds), RESOLVER, d_star)
+
+
+def mixed_table():
+    """Rows out of id order, some unpairable, contracted power full of ties."""
+    rng = np.random.default_rng(23)
+    rows = [
+        (f"C{i:03d}", f"N{i % 7}" if i % 11 else "", f"L{i % 5}", float(i % 4 + 1),
+         list(rng.uniform(5, 500, 12)))
+        for i in rng.permutation(60)
+    ]
+    return kpi_table(rows)
+
+
+def every_strategy(ds, table, seed):
+    return [
+        greedy_sequence(table, ds, seed),
+        power_sequence(table, ds, "contracted", seed),
+        power_sequence(table, ds, "demanded", seed),
+        power_sequence(table, ds, "contracted", seed, per_customer=True),
+        power_sequence(table, ds, "demanded", seed, per_customer=True),
+        random_sequence(ds, ds.pairable_count, seed),
+    ]
 
 
 class TestGreedy:
@@ -54,6 +78,9 @@ class TestGreedy:
         assert seq1.ids == seq2.ids
 
     def test_tie_break_by_pair_distance_then_key(self):
+        ds = make_dataset(
+            [(f"{k}-m", k, "L1", 1.0, flat_demand()) for k in ("A", "B", "C")]
+        )
         record = lambda key, d, E: PairRecord(  # noqa: E731
             key=key,
             member_ids=(f"{key[0]}-m",),
@@ -64,6 +91,7 @@ class TestGreedy:
             d_k=d,
             e_k=E,
             E_k=E,
+            member_rows=ds.rows_of((f"{key[0]}-m",)),
         )
         from retail_profiler.model import PairKey
 
@@ -73,10 +101,11 @@ class TestGreedy:
                 record(PairKey("B", "L1"), 0.2, 0.5),
                 record(PairKey("C", "L1"), 0.2, 0.5),
             ),
-            dataset=None,
+            dataset=ds,
         )
         seq = greedy_sequence(table, None, seed=0)
         assert seq.ids == ("B-m", "C-m", "A-m")  # d_k ascending, then key
+        assert seq.rows.tolist() == [1, 2, 0]
 
     def test_requires_kpis(self):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
@@ -186,17 +215,50 @@ class TestRandomSequence:
         assert seq.ids == ("A",)
 
 
+class TestRows:
+    def test_ids_follow_rows(self):
+        ds, table = mixed_table()
+        for seq in every_strategy(ds, table, seed=3):
+            assert seq.rows.dtype == np.intp
+            assert not seq.rows.flags.writeable
+            assert seq.ids == tuple(ds.ids[i] for i in seq.rows)
+            assert seq.prefix(5).ids == seq.ids[:5]
+
+    def test_pair_order_matches_id_list_shuffle(self):
+        # reference: shuffle each pair's id list in turn with one generator
+        ds, table = mixed_table()
+        ordered = sorted(table.records, key=lambda r: (-r.E_k, r.d_k, r.key.nace, r.key.location))
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            expected = []
+            for record in ordered:
+                members = list(record.member_ids)
+                rng.shuffle(members)
+                expected.extend(members)
+            assert greedy_sequence(table, ds, seed).ids == tuple(expected)
+
+    def test_per_customer_ties_broken_by_id(self):
+        ds, table = mixed_table()
+        expected = sorted(
+            (i for i in ds.pairable_indices), key=lambda i: (-ds.contracted_kw[i], ds.ids[i])
+        )
+        seq = power_sequence(table, ds, "contracted", seed=0, per_customer=True)
+        assert seq.rows.tolist() == expected
+
+
 class TestAccumulate:
     def test_perfect_customer_gives_zero(self):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
-        seq = AcquisitionSequence(ids=("A",), strategy="random", seed=0)
+        seq = AcquisitionSequence(rows=ds.rows_of(("A",)), dataset=ds, strategy="random", seed=0)
         curve = accumulate_curve(seq, ds, FLAT)
         assert curve.distance.tolist() == [0.0]
 
     def test_identical_customers_keep_shape(self):
         demand = offset_demand(100, 30)
         ds = make_dataset([("A", "X", "L1", 1.0, demand), ("B", "X", "L1", 1.0, demand)])
-        seq = AcquisitionSequence(ids=("A", "B"), strategy="random", seed=0)
+        seq = AcquisitionSequence(
+            rows=ds.rows_of(("A", "B")), dataset=ds, strategy="random", seed=0
+        )
         curve = accumulate_curve(seq, ds, FLAT)
         assert curve.distance[0] == curve.distance[1]
 
@@ -218,17 +280,30 @@ class TestAccumulate:
 
     def test_unknown_id(self):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
-        seq = AcquisitionSequence(ids=("GHOST",), strategy="random", seed=0)
-        with pytest.raises(DataError, match="unknown customer id"):
-            accumulate_curve(seq, ds, FLAT)
+        with pytest.raises(DataError, match="unknown customer id: 'GHOST'"):
+            ds.rows_of(("A", "GHOST"))
 
     def test_zero_demand_id(self):
         ds = make_dataset(
             [("A", "X", "L1", 1.0, flat_demand()), ("Z", "X", "L1", 1.0, [0.0] * 12)]
         )
-        seq = AcquisitionSequence(ids=("A", "Z"), strategy="random", seed=0)
-        with pytest.raises(DataError, match="zero demand"):
+        seq = AcquisitionSequence(
+            rows=ds.rows_of(("A", "Z")), dataset=ds, strategy="random", seed=0
+        )
+        with pytest.raises(DataError, match="customer 'Z' has zero demand"):
             accumulate_curve(seq, ds, FLAT)
+
+    def test_rows_outside_dataset(self):
+        ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
+        for rows in ([1], [-1]):
+            with pytest.raises(ValueError, match="must lie in"):
+                AcquisitionSequence(rows=rows, dataset=ds, strategy="random", seed=0)
+
+    def test_other_dataset_rejected(self):
+        rows = [("A", "X", "L1", 1.0, flat_demand())]
+        seq = random_sequence(make_dataset(rows), 1, seed=0)
+        with pytest.raises(ValueError, match="different dataset"):
+            accumulate_curve(seq, make_dataset(rows), FLAT)
 
     def test_prefix(self):
         ds = make_dataset(
@@ -286,6 +361,12 @@ class TestBaseline:
         band = baseline_band(dataset, solar_default, n=300, reps=20, seed=2)
         assert np.all(band.q1 <= band.median + 1e-15)
         assert np.all(band.median <= band.q3 + 1e-15)
+
+
+    def test_blockwise_quartiles_equal_full_quantile(self):
+        stack = np.random.default_rng(4).random((9, 2 * QUANTILE_BLOCK + 7))
+        expected = np.quantile(stack, [0.25, 0.5, 0.75], axis=0)
+        assert np.array_equal(_quartiles(stack), expected)
 
 
 class TestReductionCurve:

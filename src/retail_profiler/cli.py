@@ -88,10 +88,9 @@ def parse_target_spec(spec: str) -> tuple[TargetResolver, TargetProfile | None, 
         if len(cells) != model.MONTHS:
             raise DataError(f"custom target needs {model.MONTHS} comma-separated values")
         try:
-            values = [float(cell) for cell in cells]
-        except ValueError:
-            raise DataError("custom target values must be numeric") from None
-        target = custom_target(values)
+            target = custom_target([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise DataError(f"target spec {spec!r}: {exc}") from None
         return constant_resolver(target), target, "custom"
     if spec.startswith("complement:"):
         aggregate = load_aggregate_demand(spec[len("complement:"):])
@@ -100,13 +99,13 @@ def parse_target_spec(spec: str) -> tuple[TargetResolver, TargetProfile | None, 
     if spec.startswith("solar:"):
         rest = spec[len("solar:"):]
         if rest == "default" or rest.startswith("default:"):
-            amplitude = 0.35
-            if rest.startswith("default:"):
-                try:
-                    amplitude = float(rest[len("default:"):])
-                except ValueError:
-                    raise DataError("solar:default amplitude must be numeric") from None
-            target = default_solar_target(amplitude)
+            try:
+                if rest.startswith("default:"):
+                    target = default_solar_target(float(rest[len("default:"):]))
+                else:
+                    target = default_solar_target()
+            except ValueError as exc:
+                raise DataError(f"target spec {spec!r}: {exc}") from None
             return constant_resolver(target), target, spec
         if "@" in rest:
             table_path, province = rest.rsplit("@", 1)
@@ -169,14 +168,14 @@ def _out_dir(path: str) -> Path:
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     env = os.environ.get("RETAIL_PROFILER_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DataError(f"RETAIL_PROFILER_THREADS={env!r} is not an integer") from None
-    return 1
+    if not env:
+        return 1
+    try:
+        return _count(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise DataError(f"RETAIL_PROFILER_THREADS={env!r} is not a positive integer") from None
 
 
 # -- commands -----------------------------------------------------------------
@@ -450,7 +449,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="order power strategies by individual customers instead of pair averages",
     )
-    p.add_argument("--threads", type=int, help="baseline worker threads (default: $RETAIL_PROFILER_THREADS or 1)")
+    p.add_argument("--threads", type=_count, help="baseline worker threads (default: $RETAIL_PROFILER_THREADS or 1)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,49 +1,25 @@
-"""Kernel dispatch: compiled extension when available, numpy fallback otherwise.
+"""Chunked numpy kernels for the two hot loops, with input validation.
 
-The backend is chosen once at import time. Set ``RETAIL_PROFILER_KERNELS`` to
-``cython`` or ``python`` to force a backend (``auto``/unset picks the compiled
-one when it imports cleanly). ``BACKEND`` reports the active choice.
-
-Both backends implement the same three operations on C-contiguous float64
-arrays; the wrappers here own input coercion and validation so the backends
-stay interchangeable.
+``accumulate_distance_curve`` walks an acquisition sequence keeping a running
+monthly sum; ``normalized_rmsd`` scores each row's unit-mean shape against a
+target. Work is chunked so memory stays O(chunk) for arbitrarily many rows.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_requested = os.environ.get("RETAIL_PROFILER_KERNELS", "auto").strip().lower()
+BACKEND = "numpy"
 
-if _requested in ("", "auto"):
-    try:
-        from retail_profiler import _kernels as _impl
-
-        BACKEND = "cython"
-    except ImportError:
-        from retail_profiler import _kernels_py as _impl
-
-        BACKEND = "python"
-elif _requested in ("cython", "compiled", "c"):
-    from retail_profiler import _kernels as _impl
-
-    BACKEND = "cython"
-elif _requested in ("python", "numpy", "pure"):
-    from retail_profiler import _kernels_py as _impl
-
-    BACKEND = "python"
-else:
-    raise ImportError(
-        f"RETAIL_PROFILER_KERNELS={_requested!r} not understood; use 'cython', 'python' or 'auto'"
-    )
+_CHUNK = 1 << 15
 
 
 def _as_rows(raw) -> np.ndarray:
     arr = np.ascontiguousarray(raw, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d (rows, months) array, got ndim={arr.ndim}")
+    if arr.shape[0] and not np.all(arr.sum(axis=1) > 0.0):
+        raise ValueError("every row must have positive total demand")
     return arr
 
 
@@ -53,15 +29,31 @@ def accumulate_distance_curve(raw, target) -> np.ndarray:
     ``raw[i]`` is appended to a running monthly sum at step i; the sum is
     normalized to unit mean and its RMSD to the target recorded. Every prefix
     must have positive total demand, which holds whenever each row does.
+    Raises OverflowError when the running total leaves the float64 range.
     """
     arr = _as_rows(raw)
     t = np.ascontiguousarray(target, dtype=np.float64)
     if t.shape != (arr.shape[1],):
         raise ValueError("target length does not match the row width")
-    if arr.shape[0] and not np.all(arr.sum(axis=1) > 0.0):
-        raise ValueError("every row must have positive total demand")
-    out = np.empty(arr.shape[0], dtype=np.float64)
-    _impl.accumulate_distance_curve(arr, t, out)
+    n, m = arr.shape
+    out = np.empty(n, dtype=np.float64)
+    carry = np.zeros(m, dtype=np.float64)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        with np.errstate(over="ignore"):  # an overflow shows as a non-finite mean
+            sums = np.cumsum(arr[lo:hi], axis=0)
+            sums += carry
+            carry = sums[-1].copy()
+            means = sums.mean(axis=1)
+        finite = np.isfinite(means)
+        if not finite.all():
+            step = lo + int(finite.argmin()) + 1
+            raise OverflowError(f"running demand sum overflows float64 at step {step}")
+        # the rest works in place on the chunk buffer: no chunk-sized temporaries
+        sums /= means[:, None]
+        sums -= t
+        np.square(sums, out=sums)
+        np.sqrt(sums.mean(axis=1), out=out[lo:hi])
     return out
 
 
@@ -73,15 +65,18 @@ def normalized_rmsd(raw, target) -> np.ndarray:
     """
     arr = _as_rows(raw)
     t = np.ascontiguousarray(target, dtype=np.float64)
-    if arr.shape[0] and not np.all(arr.sum(axis=1) > 0.0):
-        raise ValueError("every row must have positive total demand")
-    out = np.empty(arr.shape[0], dtype=np.float64)
     if t.ndim == 1:
         if t.shape != (arr.shape[1],):
             raise ValueError("target length does not match the row width")
-        _impl.normalized_rmsd_single(arr, t, out)
-    elif t.shape == arr.shape:
-        _impl.normalized_rmsd_rows(arr, t, out)
-    else:
+    elif t.shape != arr.shape:
         raise ValueError(f"target shape {t.shape} matches neither a profile nor the rows")
+    per_row = t.ndim == 2
+    n = arr.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        block = arr[lo:hi]
+        means = block.mean(axis=1)
+        goal = t[lo:hi] if per_row else t
+        np.sqrt(np.mean((block / means[:, None] - goal) ** 2, axis=1), out=out[lo:hi])
     return out

@@ -13,6 +13,7 @@ unit mean. Shape is what matters; absolute magnitude is deliberately dropped.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -166,6 +167,10 @@ class CustomerDataset:
             raise ValueError("array shapes disagree with row count")
         if n and (not np.all(np.isfinite(raw)) or np.any(raw < 0)):
             raise ValueError("raw demands must be finite and non-negative")
+        with np.errstate(over="ignore"):
+            totals = raw.sum(axis=1)
+        if not np.all(np.isfinite(totals)):
+            raise ValueError("a customer's monthly demands sum past the float64 range")
         if n and (not np.all(np.isfinite(contracted)) or np.any(contracted < 0)):
             raise ValueError("contracted power must be finite and non-negative")
         if len(set(self.ids)) != n:
@@ -273,10 +278,14 @@ class CustomerDataset:
 
     @cached_property
     def pair_groups(self) -> dict[PairKey, np.ndarray]:
-        """Row indices of pairable customers grouped by (nace, location)."""
+        """Row indices of pairable customers grouped by (nace, location).
+
+        Each group lists its rows in customer-id order, so member order (and
+        every seeded shuffle of it) does not depend on the input row order.
+        """
         groups: dict[PairKey, list[int]] = {}
-        for i in self.pairable_indices:
-            groups.setdefault(PairKey(self.nace[i], self.location[i]), []).append(int(i))
+        for i in sorted(self.pairable_indices.tolist(), key=self.ids.__getitem__):
+            groups.setdefault(PairKey(self.nace[i], self.location[i]), []).append(i)
         return {key: np.asarray(rows, dtype=np.intp) for key, rows in groups.items()}
 
 
@@ -284,8 +293,9 @@ def load_customers(path) -> CustomerDataset:
     """Parse a customer CSV (schema: id,nace,location,contracted_kw,m01..m12).
 
     Well-formed rows are kept even when nace/location is missing; rows with
-    malformed or negative numerics are rejected with a line-numbered
-    diagnostic. Duplicate ids abort the load.
+    malformed or negative numerics, or monthly demands whose sum overflows
+    float64, are rejected with a line-numbered diagnostic. Duplicate ids
+    abort the load.
     """
     path = Path(path)
     ids: list[str] = []
@@ -296,7 +306,8 @@ def load_customers(path) -> CustomerDataset:
     diagnostics: list[str] = []
     seen: set[str] = set()
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    # a non-finite row sum is reported as a diagnostic, not as a numpy warning
+    with path.open(newline="", encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CUSTOMER_CSV_HEADER:
@@ -325,10 +336,15 @@ def load_customers(path) -> CustomerDataset:
                 diagnostics.append(f"line {line}: malformed numeric field ({exc}); row rejected")
                 continue
             values = np.array([kw] + monthly)
-            if not np.all(np.isfinite(values)) or np.any(values < 0):
-                diagnostics.append(
-                    f"line {line}: numeric fields must be finite and >= 0; row rejected"
+            total = values[1:].sum()
+            # non-negative months with a finite sum are finite themselves
+            if not (values.min() >= 0.0 and math.isfinite(kw) and math.isfinite(total)):
+                problem = (
+                    "monthly demands sum past the float64 range"
+                    if np.all(np.isfinite(values)) and values.min() >= 0.0
+                    else "numeric fields must be finite and >= 0"
                 )
+                diagnostics.append(f"line {line}: {problem}; row rejected")
                 continue
             seen.add(cid)
             ids.append(cid)
@@ -336,7 +352,7 @@ def load_customers(path) -> CustomerDataset:
             locations.append(row[2].strip())
             contracted.append(kw)
             demands.append(monthly)
-            if sum(monthly) == 0.0:
+            if total == 0.0:
                 diagnostics.append(
                     f"line {line}: customer {cid!r} has zero annual demand; excluded from profiling"
                 )

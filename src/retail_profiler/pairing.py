@@ -122,14 +122,8 @@ def build_pairs(dataset: CustomerDataset) -> PairTable:
         )
 
     keys = sorted(groups)
-    ordered_rows: list[np.ndarray] = []
-    ordered_ids: list[tuple[str, ...]] = []
-    for key in keys:
-        rows = groups[key]
-        ids = [dataset.ids[i] for i in rows]
-        order = np.argsort(ids)
-        ordered_rows.append(rows[order])
-        ordered_ids.append(tuple(ids[i] for i in order))
+    ordered_rows = [groups[key] for key in keys]
+    ordered_ids = [tuple(dataset.ids[i] for i in rows.tolist()) for rows in ordered_rows]
 
     # one pass over the concatenated member layout for all pair aggregates
     counts = np.array([rows.size for rows in ordered_rows], dtype=np.intp)
@@ -462,6 +456,10 @@ def read_pair_table(path, dataset: CustomerDataset | None = None) -> PairTable:
                 profile = [float(cell) for cell in row[8:]]
             except ValueError as exc:
                 raise DataError(f"{path}: line {line}: malformed numeric field ({exc})") from None
+            try:
+                pair_profile = NormalizedProfile(profile)
+            except ValueError as exc:
+                raise DataError(f"{path}: line {line}: {exc}") from None
             member_ids: tuple[str, ...] = ()
             member_rows = None
             if dataset is not None:
@@ -473,16 +471,14 @@ def read_pair_table(path, dataset: CustomerDataset | None = None) -> PairTable:
                         f"{path}: line {line}: pair {key} has {rows.size} customers in the data, "
                         f"but the table says n_k={n_k}"
                     )
-                ids = [dataset.ids[i] for i in rows]
-                order = np.argsort(ids)
-                member_rows = rows[order]
-                member_ids = tuple(ids[i] for i in order)
+                member_rows = rows
+                member_ids = tuple(dataset.ids[i] for i in rows.tolist())
             records.append(
                 PairRecord(
                     key=key,
                     member_ids=member_ids,
                     n_k=n_k,
-                    pair_profile=NormalizedProfile(profile),
+                    pair_profile=pair_profile,
                     avg_contracted=avg_contracted,
                     avg_demand=avg_demand,
                     d_k=kpis[0],

@@ -222,7 +222,10 @@ def accumulate_curve(
     if zero.any():
         bad = dataset.ids[rows[zero.argmax()]]
         raise DataError(f"customer {bad!r} has zero demand and cannot be accumulated")
-    distances = kernels.accumulate_distance_curve(dataset.raw_demand[rows], target.values)
+    try:
+        distances = kernels.accumulate_distance_curve(dataset.raw_demand[rows], target.values)
+    except OverflowError as exc:
+        raise DataError(f"{seq.strategy} sequence: {exc}") from None
     return DistanceCurve(
         steps=np.arange(1, rows.size + 1), distance=distances, strategy=seq.strategy
     )

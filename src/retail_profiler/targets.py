@@ -50,6 +50,9 @@ class AggregateDemand:
             raise ValueError(f"aggregate demand must have {MONTHS} values, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("aggregate demand values must be finite and >= 0")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(arr.sum()):
+                raise ValueError("aggregate demand values sum past the float64 range")
         if not np.any(arr > 0):
             raise DataError("aggregate demand is all zero; its mean must be positive")
         arr.setflags(write=False)
@@ -75,6 +78,9 @@ class SolarTable:
                 raise ValueError(f"solar row for {province!r} must have {MONTHS} values")
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
                 raise ValueError(f"solar row for {province!r} must be finite and positive")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(arr.sum()):
+                    raise ValueError(f"solar row for {province!r} sums past the float64 range")
             arr.setflags(write=False)
             checked[province] = arr
         object.__setattr__(self, "rows", checked)
@@ -214,7 +220,10 @@ def load_solar_table(path) -> SolarTable:
             rows[province] = values
     if not rows:
         raise DataError(f"{path}: solar table has no rows")
-    return SolarTable(rows)
+    try:
+        return SolarTable(rows)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_aggregate_demand(path) -> AggregateDemand:
@@ -241,4 +250,7 @@ def load_aggregate_demand(path) -> AggregateDemand:
             rows.append(values)
     if not rows:
         raise DataError(f"{path}: aggregate demand file has no data rows")
-    return AggregateDemand(np.asarray(rows, dtype=np.float64).mean(axis=0))
+    try:
+        return AggregateDemand(np.asarray(rows, dtype=np.float64).mean(axis=0))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

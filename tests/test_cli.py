@@ -49,6 +49,21 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = Path(retail_profiler.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "retail_profiler.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+
+
+SOLAR_HEADER = ",".join(targets.SOLAR_TABLE_HEADER)
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -65,6 +80,37 @@ class TestExitCodes:
         write_customer_csv(path, [("A", "X", "L1", 1.0, flat_demand())])
         code = main(["pairs", "--customers", str(path), "--target", "lunar", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "spec,name,content",
+        [
+            ("custom:nan" + ",1" * 11, None, None),
+            ("solar:default:1.5", None, None),
+            ("solar:{}@P", "T.csv", SOLAR_HEADER + "\nP,0" + ",1" * 11 + "\n"),
+            ("solar:{}@P", "T.csv", SOLAR_HEADER + "\nP" + ",1e308" * 12 + "\n"),
+            ("complement:{}", "A.csv", "1," * 11 + "-100\n"),
+            ("complement:{}", "A.csv", ",".join(["1e308"] * 12) + "\n"),
+        ],
+        ids=[
+            "custom-nan",
+            "solar-amplitude",
+            "solar-table-zero",
+            "solar-table-overflow",
+            "complement-negative",
+            "complement-overflow",
+        ],
+    )
+    def test_bad_target_input_is_two(self, tmp_path, spec, name, content):
+        customers = tmp_path / "c.csv"
+        write_customer_csv(customers, [("A", "X", "L1", 1.0, flat_demand())])
+        if name is not None:
+            (tmp_path / name).write_text(content)
+            spec = spec.format(tmp_path / name)
+        proc = run_cli("pairs", "--customers", str(customers), "--target", spec,
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert (name or spec) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -339,23 +385,19 @@ class TestSimulate:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("flag,value", [("-n", "0"), ("-n", "-5"), ("--reps", "0")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("-n", "0"), ("-n", "-5"), ("--reps", "0"), ("--threads", "0"), ("--threads", "-2")],
+    )
     def test_bad_count_is_usage_error(self, workspace, tmp_path, flag, value):
-        src = Path(retail_profiler.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "retail_profiler.cli", "simulate",
-                "--customers", str(workspace / "data" / "customers.csv"),
-                "--pairs", str(workspace / "kpis" / "pairs.csv"),
-                "--target", "solar:default",
-                "--seed", "1",
-                "--out", str(tmp_path / "sim"),
-                flag, value,
-            ],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            timeout=120,
+        proc = run_cli(
+            "simulate",
+            "--customers", str(workspace / "data" / "customers.csv"),
+            "--pairs", str(workspace / "kpis" / "pairs.csv"),
+            "--target", "solar:default",
+            "--seed", "1",
+            "--out", str(tmp_path / "sim"),
+            flag, value,
         )
         assert proc.returncode == 1
         assert "must be >= 1" in proc.stderr
@@ -394,6 +436,24 @@ class TestSimulate:
         monkeypatch.setenv("RETAIL_PROFILER_THREADS", "3")
         assert main(args + ["--out", str(out_env)]) == 0
         assert digest(out_serial / "baseline.csv") == digest(out_env / "baseline.csv")
+
+    def test_threads_env_must_be_positive(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RETAIL_PROFILER_THREADS", "-3")
+        code = main(
+            [
+                "simulate",
+                "--customers", str(workspace / "data" / "customers.csv"),
+                "--pairs", str(workspace / "kpis" / "pairs.csv"),
+                "--target", "solar:default",
+                "--strategies", "random",
+                "-n", "10",
+                "--reps", "2",
+                "--seed", "3",
+                "--out", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == 2
+        assert "RETAIL_PROFILER_THREADS='-3'" in capsys.readouterr().err
 
 
 class TestTargetSpecs:

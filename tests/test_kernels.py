@@ -1,18 +1,11 @@
-"""Backend parity and oracle checks for the hot-loop kernels."""
+"""Naive-oracle and validation checks for the hot-loop kernels."""
 
 import math
 
 import numpy as np
 import pytest
 
-from retail_profiler import _kernels_py, kernels
-
-try:
-    from retail_profiler import _kernels as _compiled
-except ImportError:
-    _compiled = None
-
-BACKENDS = [("python", _kernels_py)] + ([("cython", _compiled)] if _compiled else [])
+from retail_profiler import kernels
 
 
 def naive_accumulate(raw, target):
@@ -44,61 +37,46 @@ def sample():
     return np.ascontiguousarray(raw), np.ascontiguousarray(target)
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-class TestBackends:
-    def test_accumulate_matches_naive_oracle(self, name, impl, sample):
-        raw, target = sample
-        out = np.empty(len(raw))
-        impl.accumulate_distance_curve(raw, target, out)
-        assert np.allclose(out, naive_accumulate(raw.tolist(), target.tolist()), rtol=1e-12, atol=1e-14)
+def test_accumulate_matches_naive_oracle(sample):
+    raw, target = sample
+    out = kernels.accumulate_distance_curve(raw, target)
+    assert np.allclose(out, naive_accumulate(raw.tolist(), target.tolist()), rtol=1e-12, atol=1e-14)
 
-    def test_rmsd_single_matches_naive_oracle(self, name, impl, sample):
-        raw, target = sample
-        out = np.empty(len(raw))
-        impl.normalized_rmsd_single(raw, target, out)
-        expected = naive_rmsd(raw.tolist(), [target.tolist()] * len(raw))
-        assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
 
-    def test_rmsd_rows_matches_naive_oracle(self, name, impl, sample):
-        raw, target = sample
-        rng = np.random.default_rng(12)
-        targets = np.ascontiguousarray(rng.uniform(0.5, 1.5, size=raw.shape))
-        out = np.empty(len(raw))
-        impl.normalized_rmsd_rows(raw, targets, out)
-        assert np.allclose(out, naive_rmsd(raw.tolist(), targets.tolist()), rtol=1e-12, atol=1e-14)
+def test_rmsd_single_matches_naive_oracle(sample):
+    raw, target = sample
+    out = kernels.normalized_rmsd(raw, target)
+    expected = naive_rmsd(raw.tolist(), [target.tolist()] * len(raw))
+    assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_rmsd_rows_matches_naive_oracle(sample):
+    raw, target = sample
+    rng = np.random.default_rng(12)
+    targets = np.ascontiguousarray(rng.uniform(0.5, 1.5, size=raw.shape))
+    out = kernels.normalized_rmsd(raw, targets)
+    assert np.allclose(out, naive_rmsd(raw.tolist(), targets.tolist()), rtol=1e-12, atol=1e-14)
 
 
 def test_numpy_accumulate_carries_across_chunks(sample, monkeypatch):
     raw, target = sample
-    monkeypatch.setattr(_kernels_py, "_CHUNK", 7)
-    out = np.empty(len(raw))
-    _kernels_py.accumulate_distance_curve(raw, target, out)
+    monkeypatch.setattr(kernels, "_CHUNK", 7)
+    out = kernels.accumulate_distance_curve(raw, target)
     assert np.allclose(out, naive_accumulate(raw.tolist(), target.tolist()), rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.skipif(_compiled is None, reason="compiled kernels unavailable")
-class TestParity:
-    def test_backends_agree_closely(self, sample):
-        raw, target = sample
-        a = np.empty(len(raw))
-        b = np.empty(len(raw))
-        _compiled.accumulate_distance_curve(raw, target, a)
-        _kernels_py.accumulate_distance_curve(raw, target, b)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
-
-    def test_chunk_boundaries_do_not_matter(self, sample, monkeypatch):
-        raw, target = sample
-        monkeypatch.setattr(_kernels_py, "_CHUNK", 7)
-        chunked = np.empty(len(raw))
-        _kernels_py.accumulate_distance_curve(raw, target, chunked)
-        reference = np.empty(len(raw))
-        _compiled.accumulate_distance_curve(raw, target, reference)
-        assert np.allclose(chunked, reference, rtol=1e-12, atol=1e-15)
+def test_rmsd_rows_slices_targets_per_chunk(sample, monkeypatch):
+    raw, _ = sample
+    rng = np.random.default_rng(13)
+    targets = np.ascontiguousarray(rng.uniform(0.5, 1.5, size=raw.shape))
+    monkeypatch.setattr(kernels, "_CHUNK", 7)
+    out = kernels.normalized_rmsd(raw, targets)
+    assert np.allclose(out, naive_rmsd(raw.tolist(), targets.tolist()), rtol=1e-12, atol=1e-14)
 
 
 class TestDispatch:
     def test_backend_reported(self):
-        assert kernels.BACKEND in ("cython", "python")
+        assert kernels.BACKEND == "numpy"
 
     def test_accumulate_wrapper_validates_zero_rows(self):
         raw = np.ones((3, 12))

@@ -149,6 +149,21 @@ class TestLoad:
         assert ds.total == 0
         assert len(ds.diagnostics) == 1
 
+    def test_demand_sum_overflow_rejected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_customer_csv(
+            path,
+            [
+                ("A", "J61.1", "P36-M001", 10.0, flat_demand()),
+                ("B", "J61.1", "P36-M001", 10.0, [1e308] * 12),
+            ],
+        )
+        ds = load_customers(path)
+        assert ds.ids == ("A",)
+        assert ds.diagnostics == ("line 3: monthly demands sum past the float64 range; row rejected",)
+        with pytest.raises(ValueError, match="float64 range"):
+            make_dataset([("B", "J61.1", "P36-M001", 10.0, [1e308] * 12)])
+
     def test_zero_demand_kept_but_diagnosed(self, tmp_path):
         path = tmp_path / "c.csv"
         write_customer_csv(path, [("A", "J61.1", "P36-M001", 10.0, [0.0] * 12)])
@@ -202,12 +217,17 @@ class TestDataset:
     def test_pair_groups_partition_pairable_rows(self):
         ds = make_dataset(
             [
-                ("A", "X", "L1", 1.0, flat_demand()),
+                ("E", "X", "L1", 1.0, flat_demand()),
                 ("B", "X", "L1", 1.0, offset_demand()),
                 ("C", "Y", "L1", 1.0, flat_demand()),
                 ("D", "", "L1", 1.0, flat_demand()),
+                ("A", "X", "L1", 1.0, flat_demand()),
+                ("B2", "Y", "L1", 1.0, flat_demand()),
             ]
         )
         groups = ds.pair_groups
-        assert sum(len(v) for v in groups.values()) == ds.pairable_count == 3
+        assert sum(len(v) for v in groups.values()) == ds.pairable_count == 5
         assert set(groups) == {("X", "L1"), ("Y", "L1")}
+        # members come out in id order, whatever the input row order
+        assert [ds.ids[i] for i in groups[("X", "L1")]] == ["A", "B", "E"]
+        assert [ds.ids[i] for i in groups[("Y", "L1")]] == ["B2", "C"]

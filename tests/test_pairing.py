@@ -415,6 +415,18 @@ class TestCsvRoundTrip:
             read_pair_table(path, other)
 
 
+    def test_profile_without_unit_mean_rejected(self, tmp_path):
+        ds = make_dataset([("A", "X", "L1", 1.0, offset_demand())])
+        path = tmp_path / "pairs.csv"
+        write_pair_table(attach_kpis(build_pairs(ds), RESOLVER, 0.5), path)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[-1] = str(float(cells[-1]) + 0.5)
+        path.write_text(header + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(DataError, match="line 2: normalized profile must have unit mean"):
+            read_pair_table(path)
+
+
 class TestGlobalConsistency:
     def test_global_distance_matches_pooled_everything(self, mid_run):
         _, dataset, _, table, d_star = mid_run

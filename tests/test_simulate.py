@@ -278,6 +278,13 @@ class TestAccumulate:
             oracle = math.sqrt(float(np.mean((shape - FLAT.values) ** 2)))
             assert curve.distance[step] == pytest.approx(oracle, rel=1e-9)
 
+    def test_running_sum_overflow_is_data_error(self):
+        # each row sums to ~1e308, the second step's running total overflows
+        ds = make_dataset([(c, "X", "L1", 1.0, [8e306] * 12) for c in ("A", "B", "C")])
+        seq = AcquisitionSequence(rows=[0, 1, 2], dataset=ds, strategy="random", seed=0)
+        with pytest.raises(DataError, match="overflows float64 at step 2"):
+            accumulate_curve(seq, ds, FLAT)
+
     def test_unknown_id(self):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
         with pytest.raises(DataError, match="unknown customer id: 'GHOST'"):

@@ -33,7 +33,6 @@ from retail_profiler.metrics import (
     reduction,
 )
 from retail_profiler.pairing import (
-    PairRecord,
     PairTable,
     aggregate_matrix,
     attach_kpis,
@@ -59,7 +58,6 @@ __all__ = [
     "DataError",
     "NormalizedProfile",
     "PairKey",
-    "PairRecord",
     "PairTable",
     "SolarTable",
     "SynthConfig",

@@ -214,7 +214,7 @@ def cmd_pairs(args) -> int:
     for line in dataset.diagnostics:
         print(f"note: {line}", file=sys.stderr)
     table = build_pairs(dataset)
-    if not table.records:
+    if not len(table):
         raise DataError("no pairable customers; nothing to write")
     d_star = global_distance(dataset, resolver)
     table = attach_kpis(table, resolver, d_star)
@@ -227,7 +227,7 @@ def cmd_pairs(args) -> int:
         inputs=[Path(args.customers)],
         outputs=["pairs.csv"],
     )
-    singletons = sum(1 for r in table.records if r.n_k == 1)
+    singletons = int((table.n_k == 1).sum())
     print(
         f"customers: total={dataset.total} pairable={dataset.pairable_count} "
         f"excluded={dataset.excluded} zero-demand={dataset.zero_demand_count}"

@@ -14,14 +14,14 @@ import math
 import numpy as np
 
 from retail_profiler import kernels
-from retail_profiler.model import MONTHS, CustomerDataset, DataError
+from retail_profiler.model import MONTHS, CustomerDataset, DataError, PairGroups, PairKey
 
 __all__ = [
     "DegenerateReferenceError",
     "difference_vector",
     "profile_distance",
     "median_distance",
-    "customer_distances",
+    "member_distances",
     "global_distance",
     "enhancement_metric",
     "eid",
@@ -65,32 +65,32 @@ def median_distance(distances) -> float:
     return float(np.median(arr))
 
 
-def customer_distances(dataset: CustomerDataset, resolver) -> tuple[np.ndarray, np.ndarray]:
-    """Distance of every pairable customer's shape to its pair's target.
+def member_distances(dataset: CustomerDataset, groups: PairGroups, resolver) -> np.ndarray:
+    """Distance of every member's shape to its pair's target, aligned with ``groups.rows``.
 
-    Returns (row indices, distances), aligned. The resolver is called once
-    per distinct pair key, and rows sharing a target profile are batched into
-    a single kernel pass, so the common single-target and per-province cases
-    never materialize a per-customer target matrix.
+    The resolver is called once per pair key, and members sharing a target
+    profile are batched into a single kernel pass, so the common
+    single-target and per-province cases never materialize a per-customer
+    target matrix.
     """
-    idx = dataset.pairable_indices
-    if idx.size == 0:
-        return idx, np.empty(0, dtype=np.float64)
-    position = np.full(len(dataset), -1, dtype=np.intp)
-    position[idx] = np.arange(idx.size)
-    by_target: dict[int, tuple[object, list[np.ndarray]]] = {}
-    for key, rows in dataset.pair_groups.items():
+    targets: dict[int, tuple[int, object]] = {}
+    target_of = np.empty(len(groups.nace), dtype=np.intp)
+    for g, key in enumerate(map(PairKey, groups.nace, groups.location)):
         target = resolver(key)
-        # keep the target alive so ids stay unique while grouping
-        entry = by_target.setdefault(id(target), (target, []))
-        entry[1].append(rows)
-    distances = np.empty(idx.size, dtype=np.float64)
-    for target, groups in by_target.values():
-        rows = np.concatenate(groups)
-        distances[position[rows]] = kernels.normalized_rmsd(
-            dataset.raw_demand[rows], target.values
+        # the dict keeps each target alive, so its id stays unique while grouping
+        target_of[g] = targets.setdefault(id(target), (len(targets), target))[0]
+    member_target = np.repeat(target_of, np.diff(groups.offsets))
+    by_target = np.argsort(member_target, kind="stable")
+    bounds = np.cumsum(np.bincount(member_target, minlength=len(targets)))
+    distances = np.empty(groups.rows.size, dtype=np.float64)
+    lo = 0
+    for (_, target), hi in zip(targets.values(), bounds.tolist()):
+        positions = by_target[lo:hi]
+        distances[positions] = kernels.normalized_rmsd(
+            dataset.raw_demand[groups.rows[positions]], target.values
         )
-    return idx, distances
+        lo = hi
+    return distances
 
 
 def global_distance(dataset: CustomerDataset, resolver) -> float:
@@ -99,7 +99,7 @@ def global_distance(dataset: CustomerDataset, resolver) -> float:
     This is the expected distance when the next customer is picked uniformly
     at random, and the denominator of every enhancement metric.
     """
-    _, distances = customer_distances(dataset, resolver)
+    distances = member_distances(dataset, dataset.pair_groups, resolver)
     if distances.size == 0:
         raise DataError("no pairable customers with nonzero demand")
     return float(np.median(distances))

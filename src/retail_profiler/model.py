@@ -118,6 +118,27 @@ def normalize_profile(raw) -> NormalizedProfile:
 
 
 @dataclass(frozen=True, eq=False)
+class PairGroups:
+    """Rows grouped by pair key, groups in (nace, location) order.
+
+    Group g is the pair ``(nace[g], location[g])``; its members are
+    ``rows[offsets[g]:offsets[g + 1]]``, row indices into one dataset.
+    """
+
+    nace: tuple[str, ...]
+    location: tuple[str, ...]
+    offsets: np.ndarray
+    rows: np.ndarray
+
+    def members(self, picks: np.ndarray) -> np.ndarray:
+        """Rows of the groups ``picks``, group after group, as a new array."""
+        starts = self.offsets[:-1][picks]
+        counts = self.offsets[1:][picks] - starts
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return self.rows[shift + np.arange(shift.size)]
+
+
+@dataclass(frozen=True, eq=False)
 class CustomerRecord:
     """One anonymized supply point."""
 
@@ -277,16 +298,42 @@ class CustomerDataset:
         return rows / means[:, None]
 
     @cached_property
-    def pair_groups(self) -> dict[PairKey, np.ndarray]:
-        """Row indices of pairable customers grouped by (nace, location).
+    def pair_groups(self) -> PairGroups:
+        """Pairable rows grouped by (nace, location), groups in key order.
 
         Each group lists its rows in customer-id order, so member order (and
         every seeded shuffle of it) does not depend on the input row order.
         """
-        groups: dict[PairKey, list[int]] = {}
-        for i in sorted(self.pairable_indices.tolist(), key=self.ids.__getitem__):
-            groups.setdefault(PairKey(self.nace[i], self.location[i]), []).append(i)
-        return {key: np.asarray(rows, dtype=np.intp) for key, rows in groups.items()}
+        rows = np.array(sorted(self.pairable_indices.tolist(), key=self.ids.__getitem__), dtype=np.intp)
+        nace = np.asarray(self.nace, dtype=object)[rows]
+        location = np.asarray(self.location, dtype=object)[rows]
+        order, new_key = pair_order(nace, location)
+        starts = np.flatnonzero(new_key)
+        offsets = np.append(starts, rows.size)
+        rows = rows[order]
+        rows.setflags(write=False)
+        offsets.setflags(write=False)
+        first = order[starts]
+        return PairGroups(tuple(nace[first].tolist()), tuple(location[first].tolist()), offsets, rows)
+
+
+def _codes(column) -> np.ndarray:
+    """Each value's rank among the distinct values of a string column."""
+    index = {value: code for code, value in enumerate(sorted(set(column)))}
+    return np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
+
+
+def pair_order(nace, location) -> tuple[np.ndarray, np.ndarray]:
+    """Stable row order by (nace, location): rows sharing a key keep their order.
+
+    Also returns the mask of the sorted positions that start a new key.
+    """
+    nace_code, location_code = _codes(nace), _codes(location)
+    order = np.lexsort((location_code, nace_code))
+    nace_code, location_code = nace_code[order], location_code[order]
+    new_key = np.ones(order.size, dtype=bool)
+    new_key[1:] = (nace_code[1:] != nace_code[:-1]) | (location_code[1:] != location_code[:-1])
+    return order, new_key
 
 
 def load_customers(path) -> CustomerDataset:

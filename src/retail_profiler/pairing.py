@@ -9,25 +9,26 @@ distance of the pair's averaged profile (the two differ in general).
 from __future__ import annotations
 
 import csv
+import math
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from retail_profiler import kernels
-from retail_profiler.metrics import DegenerateReferenceError, eid, eid_values
+from retail_profiler.metrics import DegenerateReferenceError, eid, eid_values, member_distances
 from retail_profiler.model import (
+    MEAN_TOLERANCE,
     MONTHS,
     CustomerDataset,
     DataError,
-    NormalizedProfile,
+    PairGroups,
     PairKey,
     SchemaError,
     format_float,
+    pair_order,
 )
 
 PAIR_TABLE_HEADER = (
@@ -48,163 +49,123 @@ NACE_MAP_HEADER = ("nace", "division")
 
 
 @dataclass(frozen=True, eq=False)
-class PairRecord:
-    """One (nace, location) pair with its members and KPIs.
+class PairTable:
+    """Immutable pair table held as columns, one entry per pair in (nace, location) order.
 
-    ``member_ids`` is canonicalized (sorted) so the table is independent of
-    input row order. KPI fields are None until :func:`attach_kpis` runs.
-    ``member_rows`` holds dataset row indices aligned with ``member_ids`` and
-    is absent for tables loaded from CSV without customer data.
+    ``profiles`` is the read-only ``k x 12`` matrix of pair profiles. The KPI
+    columns ``d_k``, ``e_k`` and ``E_k`` are None until :func:`attach_kpis`
+    runs; a table read from CSV holds NaN for an empty KPI cell. Pair p's
+    members are rows of ``dataset`` in customer-id order, concatenated pair
+    after pair in ``member_rows`` (see :attr:`groups`); ``member_rows`` is
+    None for a table loaded without customer data.
     """
 
-    key: PairKey
-    member_ids: tuple[str, ...]
-    n_k: int
-    pair_profile: NormalizedProfile
-    avg_contracted: float
-    avg_demand: float
-    d_k: float | None = None
-    e_k: float | None = None
-    E_k: float | None = None
+    nace: tuple[str, ...]
+    location: tuple[str, ...]
+    n_k: np.ndarray
+    profiles: np.ndarray
+    avg_contracted: np.ndarray
+    avg_demand: np.ndarray
+    d_k: np.ndarray | None = None
+    e_k: np.ndarray | None = None
+    E_k: np.ndarray | None = None
     member_rows: np.ndarray | None = None
-
-    @property
-    def nace(self) -> str:
-        return self.key.nace
-
-    @property
-    def location(self) -> str:
-        return self.key.location
-
-
-@dataclass(frozen=True, eq=False)
-class PairTable:
-    """Immutable pair table, records sorted by (nace, location)."""
-
-    records: tuple[PairRecord, ...]
     dataset: CustomerDataset | None = None
     diagnostics: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        for column in (self.n_k, self.profiles, self.avg_contracted, self.avg_demand,
+                       self.d_k, self.e_k, self.E_k, self.member_rows):
+            if column is not None:
+                column.setflags(write=False)
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.nace)
 
-    def __iter__(self) -> Iterator[PairRecord]:
-        return iter(self.records)
-
-    @cached_property
-    def by_key(self) -> dict[PairKey, PairRecord]:
-        return {record.key: record for record in self.records}
-
-    def get(self, key: PairKey) -> PairRecord:
-        try:
-            return self.by_key[key]
-        except KeyError:
-            raise DataError(f"no pair for key {key!r}") from None
+    @property
+    def groups(self) -> PairGroups:
+        """The member layout of the table, with pair offsets from ``cumsum(n_k)``."""
+        if self.dataset is None or self.member_rows is None:
+            raise ValueError("pair table carries no customer data; rebuild or reload with a dataset")
+        offsets = np.concatenate(([0], np.cumsum(self.n_k)))
+        return PairGroups(self.nace, self.location, offsets, self.member_rows)
 
     @property
     def has_kpis(self) -> bool:
-        return bool(self.records) and all(r.d_k is not None for r in self.records)
+        return len(self) > 0 and all(
+            column is not None and not np.isnan(column).any()
+            for column in (self.d_k, self.e_k, self.E_k)
+        )
 
 
 def build_pairs(dataset: CustomerDataset) -> PairTable:
-    """Group pairable customers into one record per distinct (nace, location).
+    """Group pairable customers into one row per distinct (nace, location).
 
     The pair profile is the arithmetic mean of the members' unit-mean shapes,
     renormalized; average contracted and demanded power are plain means over
     members. KPIs are left unset.
     """
     groups = dataset.pair_groups
-    if not groups:
-        return PairTable(
-            records=(),
-            dataset=dataset,
-            diagnostics=("no pairable customers; pair table is empty",),
-        )
-
-    keys = sorted(groups)
-    ordered_rows = [groups[key] for key in keys]
-    ordered_ids = [tuple(dataset.ids[i] for i in rows.tolist()) for rows in ordered_rows]
-
-    # one pass over the concatenated member layout for all pair aggregates
-    counts = np.array([rows.size for rows in ordered_rows], dtype=np.intp)
-    starts = np.zeros(len(counts), dtype=np.intp)
-    np.cumsum(counts[:-1], out=starts[1:])
-    all_rows = np.concatenate(ordered_rows)
-    raw = dataset.raw_demand[all_rows]
+    starts = groups.offsets[:-1]
+    counts = np.diff(groups.offsets)
+    raw = dataset.raw_demand[groups.rows]
     member_means = raw.mean(axis=1)
     profiles = np.add.reduceat(raw / member_means[:, None], starts, axis=0) / counts[:, None]
     profiles /= profiles.mean(axis=1)[:, None]
-    avg_contracted = np.add.reduceat(dataset.contracted_kw[all_rows], starts) / counts
-    avg_demand = np.add.reduceat(member_means, starts) / counts
-
-    records = tuple(
-        PairRecord(
-            key=key,
-            member_ids=ids,
-            n_k=int(count),
-            pair_profile=NormalizedProfile(profile),
-            avg_contracted=float(kw),
-            avg_demand=float(kwh),
-            member_rows=rows,
-        )
-        for key, ids, rows, count, profile, kw, kwh in zip(
-            keys, ordered_ids, ordered_rows, counts, profiles, avg_contracted, avg_demand
-        )
+    return PairTable(
+        nace=groups.nace,
+        location=groups.location,
+        n_k=counts,
+        profiles=profiles,
+        avg_contracted=_pair_means(dataset.contracted_kw[groups.rows], starts, counts),
+        avg_demand=_pair_means(member_means, starts, counts),
+        member_rows=groups.rows,
+        dataset=dataset,
+        diagnostics=() if counts.size else ("no pairable customers; pair table is empty",),
     )
-    return PairTable(records=records, dataset=dataset)
 
 
-def _member_distance_layout(table: PairTable, resolver):
-    """Per-member distances for every pair, concatenated in record order.
+def _pair_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each pair's slice of ``values``.
 
-    Positions sharing a resolved target are batched into one kernel pass per
-    distinct target profile.
+    A pair whose sum overflows float64 is averaged again from values divided
+    by the pair size first, which stays finite for finite values.
     """
-    if table.dataset is None:
-        raise ValueError("pair table carries no customer data; rebuild or reload with a dataset")
-    if any(r.member_rows is None for r in table.records):
-        raise ValueError("pair table lacks member row indices")
-    counts = np.array([r.n_k for r in table.records], dtype=np.intp)
-    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    all_rows = np.concatenate([r.member_rows for r in table.records])
-    by_target: dict[int, tuple[object, list[np.ndarray]]] = {}
-    for record, lo, hi in zip(table.records, offsets[:-1], offsets[1:]):
-        target = resolver(record.key)
-        entry = by_target.setdefault(id(target), (target, []))
-        entry[1].append(np.arange(lo, hi, dtype=np.intp))
-    distances = np.empty(all_rows.size, dtype=np.float64)
-    for target, spans in by_target.values():
-        positions = np.concatenate(spans)
-        distances[positions] = kernels.normalized_rmsd(
-            table.dataset.raw_demand[all_rows[positions]], target.values
-        )
-    return offsets, distances
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(values, starts)
+    means = sums / counts
+    for p in np.flatnonzero(~np.isfinite(sums)).tolist():
+        lo = starts[p]
+        means[p] = (values[lo:lo + counts[p]] / counts[p]).sum()
+    return means
+
+
+def _medians(values: np.ndarray, group_of: np.ndarray, groups: int) -> np.ndarray:
+    """Median of the values of each group 0..groups-1, from one sort of them all.
+
+    Even counts take the mean of the two middle values, bit for bit what
+    ``np.median`` gives for each group.
+    """
+    counts = np.bincount(group_of, minlength=groups)
+    lo = np.cumsum(counts) - counts
+    ordered = values[np.lexsort((values, group_of))]
+    return (ordered[lo + (counts - 1) // 2] + ordered[lo + counts // 2]) / 2.0
 
 
 def attach_kpis(table: PairTable, resolver, d_star: float) -> PairTable:
     """Attach d_k (median member distance), e_k and E_k to every pair.
 
-    All pair medians come out of a single global sort of the member-distance
-    layout (mean-of-two-middles for even counts, as everywhere else).
+    All pair medians come out of a single global sort of the member
+    distances (mean-of-two-middles for even counts, as everywhere else).
     """
     if not (d_star > 0):
         raise DegenerateReferenceError(f"reference distance must be > 0, got {d_star!r}")
-    if not table.records:
+    if not len(table):
         return table
-    offsets, distances = _member_distance_layout(table, resolver)
-    counts = np.diff(offsets)
-    pair_of = np.repeat(np.arange(counts.size), counts)
-    sorted_d = distances[np.lexsort((distances, pair_of))]
-    lo = offsets[:-1]
-    d_k = (sorted_d[lo + (counts - 1) // 2] + sorted_d[lo + counts // 2]) / 2.0
+    distances = member_distances(table.dataset, table.groups, resolver)
+    d_k = _medians(distances, np.repeat(np.arange(len(table)), table.n_k), len(table))
     e_k = 1.0 - d_k / d_star
-    E_k = eid_values(e_k)
-    records = tuple(
-        replace(record, d_k=float(d), e_k=float(e), E_k=float(E))
-        for record, d, e, E in zip(table.records, d_k, e_k, E_k)
-    )
-    return PairTable(records=records, dataset=table.dataset, diagnostics=table.diagnostics)
+    return replace(table, d_k=d_k, e_k=e_k, E_k=eid_values(e_k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,20 +214,17 @@ def identification_stats(table: PairTable) -> IdentificationStats:
     ``customers_in_sets_leq`` is reported for set sizes 1..10 and the largest
     pair; the full curve is available via :meth:`IdentificationStats.ratio_table`.
     """
-    sizes = [record.n_k for record in table.records]
-    histogram = dict(sorted(Counter(sizes).items()))
-    naces = {record.key.nace for record in table.records}
-    locations = {record.key.location for record in table.records}
-    max_size = max(sizes, default=0)
+    sizes, counts = np.unique(table.n_k, return_counts=True)
+    histogram = dict(zip(sizes.tolist(), counts.tolist()))
+    max_size = max(histogram, default=0)
     thresholds = sorted(set(range(1, 11)) | ({max_size} if max_size else set()))
-    cumulative = {}
-    for n in thresholds:
-        cumulative[n] = sum(s * c for s, c in histogram.items() if s <= n)
     return IdentificationStats(
         pair_cardinality_histogram=histogram,
-        customers_in_sets_leq=cumulative,
-        nonempty_pair_count=len(sizes),
-        total_pair_space=len(naces) * len(locations),
+        customers_in_sets_leq={
+            n: sum(s * c for s, c in histogram.items() if s <= n) for n in thresholds
+        },
+        nonempty_pair_count=len(table),
+        total_pair_space=len(set(table.nace)) * len(set(table.location)),
     )
 
 
@@ -316,34 +274,37 @@ def aggregate_matrix(
     """
     if not (d_star > 0):
         raise DegenerateReferenceError(f"reference distance must be > 0, got {d_star!r}")
-    offsets, distances = _member_distance_layout(table, resolver)
+    distances = member_distances(table.dataset, table.groups, resolver)
 
-    groups: dict[tuple[str, str], list[np.ndarray]] = {}
+    # pool each pair's member distances into its (province, division) cell
+    cells: dict[tuple[str, str], int] = {}
+    cell_of = np.full(len(table), -1, dtype=np.intp)
     diagnostics: list[str] = []
-    for record, lo, hi in zip(table.records, offsets[:-1], offsets[1:]):
+    for p, (nace, location) in enumerate(zip(table.nace, table.location)):
         try:
-            province = province_of(record.key.location)
+            province = province_of(location)
         except KeyError:
-            diagnostics.append(f"location {record.key.location!r} has no province mapping; pair excluded")
+            diagnostics.append(f"location {location!r} has no province mapping; pair excluded")
             continue
         try:
-            division = division_of(record.key.nace)
+            division = division_of(nace)
         except KeyError:
-            diagnostics.append(f"nace {record.key.nace!r} has no division mapping; pair excluded")
+            diagnostics.append(f"nace {nace!r} has no division mapping; pair excluded")
             continue
-        groups.setdefault((province, division), []).append(distances[lo:hi])
+        cell_of[p] = cells.setdefault((province, division), len(cells))
+    member_cell = np.repeat(cell_of, table.n_k)
+    pooled = member_cell >= 0
+    medians = _medians(distances[pooled], member_cell[pooled], len(cells))
 
-    provinces = tuple(sorted({p for p, _ in groups}))
-    divisions = tuple(sorted({d for _, d in groups}))
+    provinces = tuple(sorted({p for p, _ in cells}))
+    divisions = tuple(sorted({d for _, d in cells}))
     p_index = {p: i for i, p in enumerate(provinces)}
     d_index = {d: j for j, d in enumerate(divisions)}
+    at = ([p_index[p] for p, _ in cells], [d_index[d] for _, d in cells])
     values = np.full((len(provinces), len(divisions)), np.nan)
     counts = np.zeros((len(provinces), len(divisions)), dtype=np.int64)
-    for (province, division), chunks in groups.items():
-        pooled = np.concatenate(chunks)
-        i, j = p_index[province], d_index[division]
-        counts[i, j] = pooled.size
-        values[i, j] = eid(1.0 - float(np.median(pooled)) / d_star)
+    counts[at] = np.bincount(member_cell[pooled], minlength=len(cells))
+    values[at] = [eid(1.0 - m / d_star) for m in medians.tolist()]
     values.setflags(write=False)
     counts.setflags(write=False)
     return IndicatorMatrix(
@@ -409,20 +370,31 @@ def load_mapping(path, header: tuple[str, str]) -> dict[str, str]:
 # -- CSV round trip ----------------------------------------------------------
 
 
+# Rows of pairs.csv formatted or parsed at a time.
+_BLOCK = 4096
+
+
 def write_pair_table(table: PairTable, path) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PAIR_TABLE_HEADER)
-        for r in table.records:
+        for lo in range(0, len(table), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            # an unset KPI column, or an empty cell read back as NaN, writes as ""
             kpis = [
-                "" if v is None else format_float(v) for v in (r.d_k, r.e_k, r.E_k)
+                [""] * len(table.nace[block]) if column is None
+                else ["" if math.isnan(v) else format_float(v) for v in column[block].tolist()]
+                for column in (table.d_k, table.e_k, table.E_k)
             ]
-            writer.writerow(
-                [r.key.nace, r.key.location, r.n_k, format_float(r.avg_contracted),
-                 format_float(r.avg_demand)]
-                + kpis
-                + [format_float(v) for v in r.pair_profile.values]
+            writer.writerows(
+                [nace, location, n_k, format_float(kw), format_float(kwh), d, e, E]
+                + list(map(format_float, profile))
+                for nace, location, n_k, kw, kwh, d, e, E, profile in zip(
+                    table.nace[block], table.location[block], table.n_k[block].tolist(),
+                    table.avg_contracted[block].tolist(), table.avg_demand[block].tolist(),
+                    *kpis, table.profiles[block].tolist(),
+                )
             )
 
 
@@ -431,11 +403,15 @@ def read_pair_table(path, dataset: CustomerDataset | None = None) -> PairTable:
 
     The CSV schema intentionally omits member ids; when a dataset is supplied
     the members are re-derived by grouping it on (nace, location) and checked
-    against the stored cardinality.
+    against the stored cardinality. Rows are parsed in blocks into float64
+    arrays and checked all at once; the error raised is that of the first
+    failing line. The table comes back in (nace, location) order.
     """
     path = Path(path)
-    groups = dataset.pair_groups if dataset is not None else {}
-    records: list[PairRecord] = []
+    blocks: list[tuple] = []
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    error = None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -444,51 +420,115 @@ def read_pair_table(path, dataset: CustomerDataset | None = None) -> PairTable:
         for row in reader:
             if not row:
                 continue
-            line = reader.line_num
             if len(row) != len(PAIR_TABLE_HEADER):
-                raise SchemaError(f"{path}: line {line}: expected {len(PAIR_TABLE_HEADER)} fields")
-            key = PairKey(row[0].strip(), row[1].strip())
-            try:
-                n_k = int(row[2])
-                avg_contracted = float(row[3])
-                avg_demand = float(row[4])
-                kpis = [None if cell == "" else float(cell) for cell in row[5:8]]
-                profile = [float(cell) for cell in row[8:]]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line}: malformed numeric field ({exc})") from None
-            try:
-                pair_profile = NormalizedProfile(profile)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line}: {exc}") from None
-            member_ids: tuple[str, ...] = ()
-            member_rows = None
-            if dataset is not None:
-                rows = groups.get(key)
-                if rows is None:
-                    raise DataError(f"{path}: line {line}: pair {key} not present in the customer data")
-                if rows.size != n_k:
-                    raise DataError(
-                        f"{path}: line {line}: pair {key} has {rows.size} customers in the data, "
-                        f"but the table says n_k={n_k}"
-                    )
-                member_rows = rows
-                member_ids = tuple(dataset.ids[i] for i in rows.tolist())
-            records.append(
-                PairRecord(
-                    key=key,
-                    member_ids=member_ids,
-                    n_k=n_k,
-                    pair_profile=pair_profile,
-                    avg_contracted=avg_contracted,
-                    avg_demand=avg_demand,
-                    d_k=kpis[0],
-                    e_k=kpis[1],
-                    E_k=kpis[2],
-                    member_rows=member_rows,
-                )
+                error = SchemaError(f"{path}: line {reader.line_num}: expected {len(PAIR_TABLE_HEADER)} fields")
+                break
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == _BLOCK:
+                error = _parse_block(rows, lines, path, blocks)
+                rows, lines = [], []
+                if error is not None:
+                    break
+    # the rows read before an error come earlier in the file, so they are checked first
+    error = _parse_block(rows, lines, path, blocks) or error
+    table = _checked_table(path, blocks, dataset)
+    if error is not None:
+        raise error
+    return table
+
+
+def _parse_block(rows: list[list[str]], lines: list[int], path: Path, blocks: list) -> DataError | None:
+    """Append the columns of a block of pair rows to ``blocks``.
+
+    The columns are line numbers, nace, location, ``n_k``, the float columns
+    from ``avg_contracted_kw`` on, and a mask of the empty KPI cells, which
+    parse as NaN. A malformed row ends the block and its DataError is returned.
+    """
+    n = len(rows)
+    n_k = np.empty(n, dtype=np.int64)
+    values = np.empty((n, len(PAIR_TABLE_HEADER) - 3))
+    empty = np.zeros((n, 3), dtype=bool)
+    error = None
+    for i, row in enumerate(rows):
+        try:
+            n_k[i] = int(row[2])
+            empty[i] = [cell == "" for cell in row[5:8]]
+            values[i] = (
+                [float(row[3]), float(row[4])]
+                + [math.nan if cell == "" else float(cell) for cell in row[5:8]]
+                + [float(cell) for cell in row[8:]]
             )
-    records.sort(key=lambda r: r.key)
-    return PairTable(records=tuple(records), dataset=dataset)
+        except (ValueError, OverflowError) as exc:
+            error = DataError(f"{path}: line {lines[i]}: malformed numeric field ({exc})")
+            n = i
+            break
+    nace = np.array([row[0].strip() for row in rows[:n]], dtype=object)
+    location = np.array([row[1].strip() for row in rows[:n]], dtype=object)
+    blocks.append((np.array(lines[:n], dtype=np.int64), nace, location, n_k[:n], values[:n], empty[:n]))
+    return error
+
+
+def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) -> PairTable:
+    """The pair table of the parsed rows; raises a DataError for the first failing line."""
+    lines, nace, location, n_k, values, empty = map(np.concatenate, zip(*blocks))
+    kpis, profiles = values[:, 2:5], values[:, 5:]
+    order, new_key = pair_order(nace, location)
+    # each later row of a repeated key points at the row before it
+    earlier = np.full(n_k.size, -1, dtype=np.intp)
+    earlier[order[1:][~new_key[1:]]] = order[:-1][~new_key[1:]]
+
+    def key(i: int) -> PairKey:
+        return PairKey(nace[i], location[i])
+
+    finite = np.isfinite(profiles).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        off_mean = finite & (np.abs(profiles.mean(axis=1) - 1.0) > MEAN_TOLERANCE)
+    # (failing rows, message of row i), in the order the checks apply to one line
+    checks = [
+        (~finite, lambda i: "normalized profile contains non-finite values"),
+        (off_mean, lambda i: f"normalized profile must have unit mean, got {profiles[i].mean()!r}"),
+    ]
+    if dataset is not None:
+        groups = dataset.pair_groups
+        index = {k: g for g, k in enumerate(zip(groups.nace, groups.location))}
+        group = np.fromiter(map(index.get, zip(nace, location), repeat(-1)), dtype=np.intp, count=n_k.size)
+        sizes = np.append(np.diff(groups.offsets), 0)[group]  # an unknown pair reads the 0
+        checks.append((group < 0, lambda i: f"pair {key(i)} not present in the customer data"))
+        checks.append((
+            (group >= 0) & (sizes != n_k),
+            lambda i: f"pair {key(i)} has {sizes[i]} customers in the data, but the table says n_k={n_k[i]}",
+        ))
+    checks.append((n_k < 1, lambda i: f"n_k must be >= 1, got {n_k[i]}"))
+    for j, name in enumerate(PAIR_TABLE_HEADER[3:8]):
+        column = values[:, j]
+        if j < 2:
+            bad, rule = ~(np.isfinite(column) & (column >= 0)), "finite and >= 0"
+        else:
+            bad, rule = ~(np.isfinite(column) | empty[:, j - 2]), "finite"
+        checks.append((bad, lambda i, name=name, rule=rule, column=column:
+                       f"{name} must be {rule}, got {float(column[i])!r}"))
+    checks.append((earlier >= 0, lambda i: f"pair {key(i)} duplicates line {lines[earlier[i]]}"))
+
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if failing.any():
+        i = int(failing.argmax())
+        message = next(message for mask, message in checks if mask[i])
+        raise DataError(f"{path}: line {lines[i]}: {message(i)}")
+    kpi = [None if empty[:, j].all() else kpis[order, j] for j in range(3)]
+    return PairTable(
+        nace=tuple(nace[order].tolist()),
+        location=tuple(location[order].tolist()),
+        n_k=n_k[order],
+        profiles=profiles[order],
+        avg_contracted=values[order, 0],
+        avg_demand=values[order, 1],
+        d_k=kpi[0],
+        e_k=kpi[1],
+        E_k=kpi[2],
+        member_rows=None if dataset is None else groups.members(group[order]),
+        dataset=dataset,
+    )
 
 
 def write_matrix(matrix: IndicatorMatrix, path) -> None:

@@ -117,11 +117,11 @@ class BaselineCurve:
 
 def _member_dataset(table: PairTable, dataset: CustomerDataset | None) -> CustomerDataset:
     """The dataset whose rows the table's member lists index, checked for KPIs."""
-    if not table.records:
+    if not len(table):
         raise DataError("pair table is empty")
     if not table.has_kpis:
         raise ValueError("pair table has no KPIs attached; run attach_kpis first")
-    if table.dataset is None or any(r.member_rows is None for r in table.records):
+    if table.dataset is None or table.member_rows is None:
         raise ValueError("pair table lacks member lists; reload it together with the customer data")
     if dataset is not None and dataset is not table.dataset:
         raise ValueError("dataset is not the one the pair table's member lists index")
@@ -129,18 +129,22 @@ def _member_dataset(table: PairTable, dataset: CustomerDataset | None) -> Custom
 
 
 def _pair_ordered_sequence(
-    table: PairTable, dataset: CustomerDataset, sort_key, strategy: str, seed: int
+    table: PairTable, dataset: CustomerDataset, power: np.ndarray, strategy: str, seed: int
 ) -> AcquisitionSequence:
+    """Pairs by decreasing ``power``, then ascending d_k, then (nace, location).
+
+    The table is in (nace, location) order, so one stable sort on the first
+    two keys gives the whole order. Members are shuffled within each pair.
+    """
     dataset = _member_dataset(table, dataset)
-    records = sorted(table.records, key=sort_key)
-    rows = np.concatenate([r.member_rows for r in records])
+    order = np.lexsort((table.d_k, -power))
+    rows = table.groups.members(order)
+    counts = table.n_k[order]
+    ends = np.cumsum(counts)
+    shuffled = counts > 1  # a singleton pair draws no random numbers
     rng = np.random.default_rng(seed)
-    lo = 0
-    for record in records:
-        hi = lo + record.member_rows.size
-        if hi - lo > 1:  # a singleton pair draws no random numbers
-            rng.shuffle(rows[lo:hi])
-        lo = hi
+    for lo, hi in zip((ends - counts)[shuffled].tolist(), ends[shuffled].tolist()):
+        rng.shuffle(rows[lo:hi])
     return AcquisitionSequence(rows=rows, dataset=dataset, strategy=strategy, seed=seed)
 
 
@@ -150,13 +154,7 @@ def greedy_sequence(table: PairTable, dataset: CustomerDataset, seed: int) -> Ac
     Ties on the indicator are broken by ascending pair distance, then by
     (nace, location), so a run is fully determined by the seed.
     """
-    return _pair_ordered_sequence(
-        table,
-        dataset,
-        sort_key=lambda r: (-r.E_k, r.d_k, r.key.nace, r.key.location),
-        strategy="eid",
-        seed=seed,
-    )
+    return _pair_ordered_sequence(table, dataset, table.E_k, "eid", seed)
 
 
 def power_sequence(
@@ -184,14 +182,8 @@ def power_sequence(
         ids = np.array([dataset.ids[i] for i in idx.tolist()])
         rows = idx[np.lexsort((ids, -power))]
         return AcquisitionSequence(rows=rows, dataset=dataset, strategy=key, seed=seed)
-    attr = "avg_contracted" if key == "contracted" else "avg_demand"
-    return _pair_ordered_sequence(
-        table,
-        dataset,
-        sort_key=lambda r: (-getattr(r, attr), r.d_k, r.key.nace, r.key.location),
-        strategy=key,
-        seed=seed,
-    )
+    power = table.avg_contracted if key == "contracted" else table.avg_demand
+    return _pair_ordered_sequence(table, dataset, power, key, seed)
 
 
 def random_sequence(dataset: CustomerDataset, n: int, seed) -> AcquisitionSequence:

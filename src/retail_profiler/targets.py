@@ -139,7 +139,10 @@ def custom_target(values) -> TargetProfile:
         raise ValueError(f"custom target must have {MONTHS} values, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("custom target contains non-finite values")
-    mean = arr.mean()
+    with np.errstate(over="ignore"):
+        mean = arr.mean()
+    if not np.isfinite(mean):
+        raise ValueError("custom target values sum past the float64 range")
     if mean <= 0:
         raise DataError("custom target must have a positive mean")
     return TargetProfile(arr / mean, "custom")

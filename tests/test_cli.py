@@ -85,6 +85,7 @@ class TestExitCodes:
         "spec,name,content",
         [
             ("custom:nan" + ",1" * 11, None, None),
+            ("custom:" + ",".join(["1e308"] * 12), None, None),
             ("solar:default:1.5", None, None),
             ("solar:{}@P", "T.csv", SOLAR_HEADER + "\nP,0" + ",1" * 11 + "\n"),
             ("solar:{}@P", "T.csv", SOLAR_HEADER + "\nP" + ",1e308" * 12 + "\n"),
@@ -93,6 +94,7 @@ class TestExitCodes:
         ],
         ids=[
             "custom-nan",
+            "custom-overflow",
             "solar-amplitude",
             "solar-table-zero",
             "solar-table-overflow",
@@ -155,14 +157,10 @@ class TestPairs:
         d_star = metrics.global_distance(dataset, resolver)
         recomputed = pairing.attach_kpis(pairing.build_pairs(dataset), resolver, d_star)
         assert len(table) == len(recomputed)
-        for a, b in zip(table.records, recomputed.records):
-            assert a.key == b.key
-            assert a.n_k == b.n_k
-            assert a.d_k == b.d_k
-            assert a.e_k == b.e_k
-            assert a.E_k == b.E_k
-            assert a.avg_contracted == b.avg_contracted
-            assert a.avg_demand == b.avg_demand
+        assert table.nace == recomputed.nace
+        assert table.location == recomputed.location
+        for column in ("n_k", "d_k", "e_k", "E_k", "avg_contracted", "avg_demand"):
+            assert np.array_equal(getattr(table, column), getattr(recomputed, column)), column
 
     def test_prints_reference_distance(self, workspace, tmp_path, capsys):
         code = main(
@@ -260,6 +258,17 @@ class TestStats:
         last = rows[-1]
         assert int(last["customers_leq"]) == stats.customers_leq(stats.max_size)
         assert float(last["pairs_leq_ratio"]) == 1.0
+
+
+    def test_duplicate_pair_is_data_error(self, workspace, tmp_path):
+        lines = (workspace / "kpis" / "pairs.csv").read_text().splitlines()
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("\n".join(lines + [lines[1]]) + "\n")
+        proc = run_cli("stats", "--pairs", str(pairs), "--out", str(tmp_path / "s"))
+        assert proc.returncode == 2
+        assert f"line {len(lines) + 1}: pair" in proc.stderr
+        assert "duplicates line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestMatrix:

@@ -16,7 +16,7 @@ from retail_profiler.metrics import (
     reduction,
 )
 from retail_profiler.model import DataError, normalize_profile
-from retail_profiler.targets import constant_resolver, flat_target
+from retail_profiler.targets import constant_resolver, custom_target, flat_target
 from tests.conftest import flat_demand, make_dataset, offset_demand
 
 profiles = st.lists(
@@ -233,6 +233,31 @@ class TestCustomerDistances:
             calls.append(key)
             return flat_target()
 
-        idx, distances = metrics.customer_distances(ds, resolver)
+        distances = metrics.member_distances(ds, ds.pair_groups, resolver)
         assert len(calls) == 2
-        assert idx.size == distances.size == 3
+        assert distances.size == 3
+
+    def test_one_kernel_pass_per_distinct_target(self, monkeypatch):
+        ds = make_dataset(
+            [
+                ("A", "X", "L1", 1.0, offset_demand(100, 10)),
+                ("B", "X", "L2", 1.0, offset_demand(100, 20)),
+                ("C", "Y", "L1", 1.0, offset_demand(100, 30)),
+            ]
+        )
+        by_location = {"L1": flat_target(), "L2": custom_target([2.0] * 6 + [1.0] * 6)}
+        kernel = metrics.kernels.normalized_rmsd
+        passes = []
+
+        def counted(raw, target):
+            passes.append(len(raw))
+            return kernel(raw, target)
+
+        monkeypatch.setattr(metrics.kernels, "normalized_rmsd", counted)
+        groups = ds.pair_groups
+        distances = metrics.member_distances(ds, groups, lambda key: by_location[key.location])
+        assert sorted(passes) == [1, 2]
+        # each distance lines up with its member row in the grouped layout
+        for row, d in zip(groups.rows.tolist(), distances.tolist()):
+            target = by_location[ds.location[row]]
+            assert d == pytest.approx(profile_distance(normalize_profile(ds.raw_demand[row]), target), rel=1e-12)

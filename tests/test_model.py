@@ -226,8 +226,9 @@ class TestDataset:
             ]
         )
         groups = ds.pair_groups
-        assert sum(len(v) for v in groups.values()) == ds.pairable_count == 5
-        assert set(groups) == {("X", "L1"), ("Y", "L1")}
+        assert groups.rows.size == groups.offsets[-1] == ds.pairable_count == 5
+        assert list(zip(groups.nace, groups.location)) == [("X", "L1"), ("Y", "L1")]  # key order
         # members come out in id order, whatever the input row order
-        assert [ds.ids[i] for i in groups[("X", "L1")]] == ["A", "B", "E"]
-        assert [ds.ids[i] for i in groups[("Y", "L1")]] == ["B2", "C"]
+        x, y = np.split(groups.rows, groups.offsets[1:-1])
+        assert [ds.ids[i] for i in x] == ["A", "B", "E"]
+        assert [ds.ids[i] for i in y] == ["B2", "C"]

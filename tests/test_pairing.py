@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from retail_profiler import pairing
-from retail_profiler.metrics import DegenerateReferenceError, eid, profile_distance
+from retail_profiler.metrics import DegenerateReferenceError, eid, member_distances, profile_distance
 from retail_profiler.model import DataError, PairKey, normalize_profile
 from retail_profiler.pairing import (
     attach_kpis,
@@ -43,6 +44,12 @@ RESOLVER = constant_resolver(FLAT)
 RESOLVER_SOLAR = constant_resolver(default_solar_target())
 
 
+def member_ids(table, p):
+    """Customer ids of pair p, in member order."""
+    offsets = table.groups.offsets
+    return tuple(table.dataset.ids[i] for i in table.member_rows[offsets[p]:offsets[p + 1]])
+
+
 class TestBuildPairs:
     def test_three_customers_one_pair(self):
         ds = make_dataset(
@@ -50,8 +57,8 @@ class TestBuildPairs:
         )
         table = build_pairs(ds)
         assert len(table) == 1
-        assert table.records[0].n_k == 3
-        assert table.records[0].member_ids == ("C0", "C1", "C2")
+        assert table.n_k[0] == 3
+        assert member_ids(table, 0) == ("C0", "C1", "C2")
 
     def test_distinct_locations_make_distinct_pairs(self):
         ds = make_dataset(
@@ -62,18 +69,18 @@ class TestBuildPairs:
         )
         table = build_pairs(ds)
         assert len(table) == 2
-        assert {r.key for r in table.records} == {PairKey("X", "L1"), PairKey("X", "L2")}
+        assert set(zip(table.nace, table.location)) == {PairKey("X", "L1"), PairKey("X", "L2")}
 
     def test_pair_profile_of_identical_customers(self):
         demand = offset_demand(100, 30)
         ds = make_dataset([("A", "X", "L1", 1.0, demand), ("B", "X", "L1", 2.0, demand)])
         table = build_pairs(ds)
         member = normalize_profile(demand)
-        assert np.allclose(table.records[0].pair_profile.values, member.values, rtol=1e-15, atol=0)
+        assert np.allclose(table.profiles[0], member.values, rtol=1e-15, atol=0)
 
     def test_partition_property(self, mid_run):
         _, dataset, _, table, _ = mid_run
-        assert sum(r.n_k for r in table.records) == dataset.pairable_count
+        assert table.n_k.sum() == dataset.pairable_count
 
     def test_avg_powers(self):
         ds = make_dataset(
@@ -82,9 +89,20 @@ class TestBuildPairs:
                 ("B", "X", "L1", 30.0, flat_demand(240.0)),
             ]
         )
-        record = build_pairs(ds).records[0]
-        assert record.avg_contracted == 20.0
-        assert record.avg_demand == 180.0
+        table = build_pairs(ds)
+        assert table.avg_contracted[0] == 20.0
+        assert table.avg_demand[0] == 180.0
+
+    def test_avg_overflow_is_recomputed_finite(self):
+        # 30 members at 8e306 kWh a month: the plain sum of their means overflows
+        rows = [(f"C{i:02d}", "X", "L1", 1e307, [8e306] * 12) for i in range(30)]
+        rows.append(("D", "Y", "L1", 3.0, flat_demand(7.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = build_pairs(make_dataset(rows))
+        assert table.avg_demand[0] == pytest.approx(8e306, rel=1e-12)
+        assert table.avg_contracted[0] == pytest.approx(1e307, rel=1e-12)
+        assert (table.avg_contracted[1], table.avg_demand[1]) == (3.0, 7.0)
 
     def test_empty_dataset_gives_diagnostic(self):
         ds = make_dataset([("A", "", "", 1.0, flat_demand())])
@@ -100,21 +118,20 @@ class TestBuildPairs:
         ]
         t1 = build_pairs(make_dataset(rows))
         t2 = build_pairs(make_dataset(rows[::-1]))
-        assert [r.key for r in t1.records] == [r.key for r in t2.records]
-        for a, b in zip(t1.records, t2.records):
-            assert a.member_ids == b.member_ids
-            assert np.array_equal(a.pair_profile.values, b.pair_profile.values)
-            assert a.avg_contracted == b.avg_contracted
+        assert (t1.nace, t1.location) == (t2.nace, t2.location)
+        for p in range(len(t1)):
+            assert member_ids(t1, p) == member_ids(t2, p)
+        assert np.array_equal(t1.profiles, t2.profiles)
+        assert np.array_equal(t1.avg_contracted, t2.avg_contracted)
 
 
 class TestAttachKpis:
     def test_perfect_single_member_pair(self):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
         table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
-        record = table.records[0]
-        assert record.d_k == 0.0
-        assert record.e_k == 1.0
-        assert record.E_k == 1.0
+        assert table.d_k[0] == 0.0
+        assert table.e_k[0] == 1.0
+        assert table.E_k[0] == 1.0
 
     def test_median_then_metric(self):
         # member distances {0.2, 0.8, 0.5}; the median lands on the exact 0.5
@@ -125,24 +142,24 @@ class TestAttachKpis:
                 ("C", "X", "L1", 1.0, alternating(0.5)),
             ]
         )
-        record = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5).records[0]
-        assert record.d_k == 0.5
-        assert record.e_k == 0.0
-        assert record.E_k == 0.0
+        table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
+        assert table.d_k[0] == 0.5
+        assert table.e_k[0] == 0.0
+        assert table.E_k[0] == 0.0
 
     def test_exp_branch(self):
         # d_k = 1.5 with d* = 0.5 puts the metric at -2
         ds = make_dataset([("A", "X", "L1", 1.0, spiky(1.5))])
-        record = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5).records[0]
-        assert record.e_k == pytest.approx(-2.0, abs=1e-12)
-        assert record.E_k == pytest.approx(math.exp(-2.0) - 1.0, abs=1e-12)
-        assert record.E_k == pytest.approx(-0.8647, abs=1e-4)
+        table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
+        assert table.e_k[0] == pytest.approx(-2.0, abs=1e-12)
+        assert table.E_k[0] == pytest.approx(math.exp(-2.0) - 1.0, abs=1e-12)
+        assert table.E_k[0] == pytest.approx(-0.8647, abs=1e-4)
 
     def test_singleton_d_k_equals_member_distance(self):
         demand = offset_demand(100, 37)
         ds = make_dataset([("A", "X", "L1", 1.0, demand)])
-        record = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5).records[0]
-        assert record.d_k == profile_distance(normalize_profile(demand), FLAT)
+        table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
+        assert table.d_k[0] == profile_distance(normalize_profile(demand), FLAT)
 
     def test_d_k_is_not_the_pair_profile_distance(self):
         # two opposite shapes average out: the pair profile sits near flat
@@ -155,11 +172,11 @@ class TestAttachKpis:
                 ("B", "X", "L1", 1.0, low_first),
             ]
         )
-        record = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5).records[0]
-        profile_d = profile_distance(record.pair_profile, FLAT)
-        assert record.d_k == pytest.approx(0.6, abs=1e-12)
+        table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
+        profile_d = profile_distance(table.profiles[0], FLAT)
+        assert table.d_k[0] == pytest.approx(0.6, abs=1e-12)
         assert profile_d < 1e-9  # averaged shape is flat
-        assert record.d_k != profile_d
+        assert table.d_k[0] != profile_d
 
     def test_degenerate_reference(self):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
@@ -169,11 +186,10 @@ class TestAttachKpis:
     def test_d_k_bitwise_equals_per_pair_median(self, mid_run):
         # the batched sort must reproduce a per-slice median exactly
         _, _, _, table, _ = mid_run
-        from retail_profiler.pairing import _member_distance_layout
-
-        offsets, distances = _member_distance_layout(table, RESOLVER_SOLAR)
-        for record, lo, hi in zip(table.records, offsets[:-1], offsets[1:]):
-            assert record.d_k == float(np.median(distances[lo:hi]))
+        distances = member_distances(table.dataset, table.groups, RESOLVER_SOLAR)
+        offsets = table.groups.offsets
+        for d_k, lo, hi in zip(table.d_k, offsets[:-1], offsets[1:]):
+            assert d_k == float(np.median(distances[lo:hi]))
 
 
 class TestIdentificationStats:
@@ -362,6 +378,9 @@ class TestMappings:
             load_mapping(path, pairing.NACE_MAP_HEADER)
 
 
+COLUMNS = ("n_k", "profiles", "avg_contracted", "avg_demand", "d_k", "e_k", "E_k")
+
+
 class TestCsvRoundTrip:
     def test_write_read_exact(self, tmp_path, mid_run):
         _, dataset, _, table, _ = mid_run
@@ -369,14 +388,12 @@ class TestCsvRoundTrip:
         write_pair_table(table, path)
         loaded = read_pair_table(path, dataset)
         assert len(loaded) == len(table)
-        for a, b in zip(table.records, loaded.records):
-            assert a.key == b.key
-            assert a.member_ids == b.member_ids
-            assert a.n_k == b.n_k
-            assert a.avg_contracted == b.avg_contracted
-            assert a.avg_demand == b.avg_demand
-            assert a.d_k == b.d_k and a.e_k == b.e_k and a.E_k == b.E_k
-            assert np.array_equal(a.pair_profile.values, b.pair_profile.values)
+        assert (loaded.nace, loaded.location) == (table.nace, table.location)
+        assert np.array_equal(loaded.member_rows, table.member_rows)
+        for p in range(len(table)):
+            assert member_ids(loaded, p) == member_ids(table, p)
+        for column in COLUMNS:
+            assert np.array_equal(getattr(loaded, column), getattr(table, column)), column
 
     def test_read_without_dataset_keeps_counts(self, tmp_path):
         ds = make_dataset(
@@ -386,8 +403,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "pairs.csv"
         write_pair_table(table, path)
         loaded = read_pair_table(path)
-        assert loaded.records[0].n_k == 3
-        assert loaded.records[0].member_ids == ()
+        assert loaded.n_k[0] == 3
+        assert loaded.member_rows is None
         stats = identification_stats(loaded)
         assert stats.pair_cardinality_histogram == {3: 1}
 
@@ -426,12 +443,95 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="line 2: normalized profile must have unit mean"):
             read_pair_table(path)
 
+    def test_shuffled_rows_read_back_in_key_order(self, tmp_path, mid_run):
+        _, dataset, _, table, _ = mid_run
+        path = tmp_path / "pairs.csv"
+        write_pair_table(table, path)
+        header, *rows = path.read_text().splitlines()
+        np.random.default_rng(0).shuffle(rows)
+        path.write_text("\n".join([header] + rows) + "\n")
+        for data in (dataset, None):
+            loaded = read_pair_table(path, data)
+            assert (loaded.nace, loaded.location) == (table.nace, table.location)
+            for column in COLUMNS:
+                assert np.array_equal(getattr(loaded, column), getattr(table, column)), column
+        assert np.array_equal(read_pair_table(path, dataset).member_rows, table.member_rows)
+
+    @staticmethod
+    def three_pairs(tmp_path):
+        """A pairs.csv of three KPI-attached pairs (lines 2-4), and its dataset."""
+        ds = make_dataset(
+            [(f"C{i}", f"N{i}", "L1", 1.0, offset_demand(100, 10 + i)) for i in range(3)]
+        )
+        path = tmp_path / "pairs.csv"
+        write_pair_table(attach_kpis(build_pairs(ds), RESOLVER, 0.5), path)
+        return path, ds
+
+    @staticmethod
+    def set_cell(path, line, column, value):
+        lines = path.read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        cells[pairing.PAIR_TABLE_HEADER.index(column)] = value
+        lines[line - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_duplicate_pair_rejected_naming_both_lines(self, tmp_path):
+        path, ds = self.three_pairs(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[2]]) + "\n")
+        for data in (ds, None):
+            with pytest.raises(DataError, match=r"line 5: pair .*'N1'.* duplicates line 3"):
+                read_pair_table(path, data)
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            ("n_k", "0", "n_k must be >= 1, got 0"),
+            ("n_k", "-3", "n_k must be >= 1, got -3"),
+            ("avg_contracted_kw", "nan", "avg_contracted_kw must be finite and >= 0, got nan"),
+            ("avg_contracted_kw", "-1.5", "avg_contracted_kw must be finite and >= 0, got -1.5"),
+            ("avg_demand_kwh", "inf", "avg_demand_kwh must be finite and >= 0, got inf"),
+            ("d_k", "nan", "d_k must be finite, got nan"),
+            ("e_k", "inf", "e_k must be finite, got inf"),
+            ("E_k", "-inf", "E_k must be finite, got -inf"),
+        ],
+    )
+    def test_malformed_row_rejected(self, tmp_path, column, value, message):
+        path, _ = self.three_pairs(tmp_path)
+        self.set_cell(path, 3, column, value)
+        with pytest.raises(DataError, match=f"line 3: {message}$"):
+            read_pair_table(path)
+
+    def test_empty_kpi_cells_allowed(self, tmp_path):
+        path, _ = self.three_pairs(tmp_path)
+        for column in ("d_k", "e_k", "E_k"):
+            self.set_cell(path, 3, column, "")
+        loaded = read_pair_table(path)
+        assert not loaded.has_kpis
+        assert np.isnan(loaded.d_k[1]) and np.isfinite(loaded.d_k[[0, 2]]).all()
+        again = tmp_path / "again.csv"
+        write_pair_table(loaded, again)
+        assert again.read_text() == path.read_text()
+
+    def test_first_failing_line_wins_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pairing, "_BLOCK", 2)
+        path, _ = self.three_pairs(tmp_path)
+        self.set_cell(path, 4, "n_k", "x")
+        with pytest.raises(DataError, match="line 4: malformed numeric field"):
+            read_pair_table(path)
+        # an earlier line that fails a table check comes first
+        self.set_cell(path, 2, "p01", "5.0")
+        with pytest.raises(DataError, match="line 2: normalized profile must have unit mean"):
+            read_pair_table(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["N9,L1,1"]) + "\n")
+        with pytest.raises(DataError, match="line 2: normalized profile"):
+            read_pair_table(path)
+
 
 class TestGlobalConsistency:
     def test_global_distance_matches_pooled_everything(self, mid_run):
         _, dataset, _, table, d_star = mid_run
         # d* is the median over exactly the customers the pairs partition
-        from retail_profiler.pairing import _member_distance_layout
-
-        _, distances = _member_distance_layout(table, RESOLVER_SOLAR)
+        distances = member_distances(table.dataset, table.groups, RESOLVER_SOLAR)
         assert float(np.median(distances)) == pytest.approx(d_star, rel=1e-12)

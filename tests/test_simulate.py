@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from retail_profiler.model import DataError, normalize_profile
-from retail_profiler.pairing import PairRecord, PairTable, attach_kpis, build_pairs
+from retail_profiler.model import DataError
+from retail_profiler.pairing import PairTable, attach_kpis, build_pairs
 from retail_profiler.simulate import (
     QUANTILE_BLOCK,
     AcquisitionSequence,
@@ -81,26 +81,17 @@ class TestGreedy:
         ds = make_dataset(
             [(f"{k}-m", k, "L1", 1.0, flat_demand()) for k in ("A", "B", "C")]
         )
-        record = lambda key, d, E: PairRecord(  # noqa: E731
-            key=key,
-            member_ids=(f"{key[0]}-m",),
-            n_k=1,
-            pair_profile=normalize_profile(flat_demand()),
-            avg_contracted=1.0,
-            avg_demand=1.0,
-            d_k=d,
-            e_k=E,
-            E_k=E,
-            member_rows=ds.rows_of((f"{key[0]}-m",)),
-        )
-        from retail_profiler.model import PairKey
-
         table = PairTable(
-            records=(
-                record(PairKey("A", "L1"), 0.3, 0.5),
-                record(PairKey("B", "L1"), 0.2, 0.5),
-                record(PairKey("C", "L1"), 0.2, 0.5),
-            ),
+            nace=("A", "B", "C"),
+            location=("L1", "L1", "L1"),
+            n_k=np.ones(3, dtype=np.intp),
+            profiles=np.ones((3, 12)),
+            avg_contracted=np.ones(3),
+            avg_demand=np.ones(3),
+            d_k=np.array([0.3, 0.2, 0.2]),
+            e_k=np.full(3, 0.5),
+            E_k=np.full(3, 0.5),
+            member_rows=ds.rows_of(("A-m", "B-m", "C-m")),
             dataset=ds,
         )
         seq = greedy_sequence(table, None, seed=0)
@@ -225,17 +216,31 @@ class TestRows:
             assert seq.prefix(5).ids == seq.ids[:5]
 
     def test_pair_order_matches_id_list_shuffle(self):
-        # reference: shuffle each pair's id list in turn with one generator
+        # reference: sort the pairs with a Python key, then shuffle each
+        # pair's id list in turn with one generator
         ds, table = mixed_table()
-        ordered = sorted(table.records, key=lambda r: (-r.E_k, r.d_k, r.key.nace, r.key.location))
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            expected = []
-            for record in ordered:
-                members = list(record.member_ids)
-                rng.shuffle(members)
-                expected.extend(members)
-            assert greedy_sequence(table, ds, seed).ids == tuple(expected)
+        member_ids = [
+            [ds.ids[i] for i in table.member_rows[lo:hi]]
+            for lo, hi in zip(table.groups.offsets[:-1], table.groups.offsets[1:])
+        ]
+        columns = {"eid": table.E_k, "contracted": table.avg_contracted, "demanded": table.avg_demand}
+        for strategy, power in columns.items():
+            ordered = sorted(
+                zip(power.tolist(), table.d_k.tolist(), table.nace, table.location, member_ids),
+                key=lambda pair: (-pair[0], pair[1], pair[2], pair[3]),
+            )
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                expected = []
+                for *_, ids in ordered:
+                    members = list(ids)
+                    rng.shuffle(members)
+                    expected.extend(members)
+                if strategy == "eid":
+                    seq = greedy_sequence(table, ds, seed)
+                else:
+                    seq = power_sequence(table, ds, strategy, seed)
+                assert seq.ids == tuple(expected), (strategy, seed)
 
     def test_per_customer_ties_broken_by_id(self):
         ds, table = mixed_table()

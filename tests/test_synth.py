@@ -86,21 +86,24 @@ class TestGenerate:
         assert ds.total == 1
         table = build_pairs(ds)
         assert len(table) == 1
-        assert table.records[0].n_k == 1
+        assert table.n_k[0] == 1
 
     def test_composition_matches_pair_table_exactly(self):
         ds, truth = generate(small_config(), TARGET)
         stats = identification_stats(build_pairs(ds))
         assert stats.pair_cardinality_histogram == truth.cardinality_histogram
         assert stats.nonempty_pair_count == len(truth.pair_composition)
-        realized = {record.key: record.n_k for record in build_pairs(ds).records}
+        table = build_pairs(ds)
+        realized = dict(zip(zip(table.nace, table.location), table.n_k.tolist()))
         assert realized == truth.pair_composition
 
     def test_planted_pairs_are_pure_and_separate(self):
         ds, truth = generate(small_config(), TARGET)
         groups = ds.pair_groups
+        keys = zip(groups.nace, groups.location)
+        members = dict(zip(keys, np.split(groups.rows, groups.offsets[1:-1])))
         planted_members = {
-            ds.ids[i] for key in truth.planted_pairs for i in groups[key]
+            ds.ids[i] for key in truth.planted_pairs for i in members[key]
         }
         assert planted_members == set(truth.planted_ids)
 

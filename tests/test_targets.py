@@ -126,6 +126,10 @@ class TestCustom:
         with pytest.raises(DataError):
             custom_target([0.0] * 12)
 
+    def test_sum_overflow_rejected(self):
+        with pytest.raises(ValueError, match="sum past the float64 range"):
+            custom_target([1e308] * 12)
+
 
 class TestResolvers:
     def test_constant(self):

@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from retail_profiler.model import (
     CustomerDataset,
-    CustomerRecord,
     DataError,
     NormalizedProfile,
     PairKey,
@@ -54,7 +53,6 @@ __all__ = [
     "__version__",
     "AggregateDemand",
     "CustomerDataset",
-    "CustomerRecord",
     "DataError",
     "NormalizedProfile",
     "PairKey",

@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from retail_profiler import __version__, model
-from retail_profiler.metrics import global_distance
 from retail_profiler.model import DataError, TargetProfile, load_customers
 from retail_profiler.pairing import (
     LOCATION_MAP_HEADER,
@@ -216,8 +215,7 @@ def cmd_pairs(args) -> int:
     table = build_pairs(dataset)
     if not len(table):
         raise DataError("no pairable customers; nothing to write")
-    d_star = global_distance(dataset, resolver)
-    table = attach_kpis(table, resolver, d_star)
+    table = attach_kpis(table, resolver)
     out = _out_dir(args.out)
     write_pair_table(table, out / "pairs.csv")
     _write_manifest(
@@ -233,7 +231,7 @@ def cmd_pairs(args) -> int:
         f"excluded={dataset.excluded} zero-demand={dataset.zero_demand_count}"
     )
     print(f"pairs: {len(table)} non-empty ({singletons} singletons)")
-    print(f"d(*) = {d_star}")
+    print(f"d(*) = {table.d_star}")
     return 0
 
 
@@ -259,8 +257,7 @@ def cmd_stats(args) -> int:
 
 def cmd_matrix(args) -> int:
     resolver, _, spec = parse_target_spec(args.target)
-    dataset = load_customers(args.customers)
-    table = read_pair_table(args.pairs, dataset)
+    table = read_pair_table(args.pairs, load_customers(args.customers))
     inputs = [Path(args.pairs), Path(args.customers)]
     if args.location_map:
         province_of = _mapper(load_mapping(args.location_map, LOCATION_MAP_HEADER))
@@ -272,8 +269,7 @@ def cmd_matrix(args) -> int:
         inputs.append(Path(args.nace_map))
     else:
         division_of = default_division
-    d_star = global_distance(dataset, resolver)
-    matrix = aggregate_matrix(table, dataset, province_of, division_of, resolver, d_star)
+    matrix = aggregate_matrix(table, province_of, division_of, resolver)
     for line in matrix.diagnostics:
         print(f"note: {line}", file=sys.stderr)
     out = _out_dir(args.out)
@@ -308,9 +304,10 @@ def cmd_simulate(args) -> int:
     if not table.has_kpis:
         raise DataError(f"{args.pairs}: pair table has no KPI columns; run 'pairs' first")
 
-    n = args.n if args.n is not None else dataset.pairable_count
-    if n > dataset.pairable_count:
-        raise DataError(f"-n {n} exceeds the {dataset.pairable_count} pairable customers")
+    listed = int(table.n_k.sum())
+    n = args.n if args.n is not None else listed
+    if n > listed:
+        raise DataError(f"-n {n} exceeds the {listed} customers the pair table lists")
 
     out = _out_dir(args.out)
     outputs: list[str] = []
@@ -319,10 +316,10 @@ def cmd_simulate(args) -> int:
         if s == "random":
             continue
         if s == "eid":
-            seq = greedy_sequence(table, dataset, args.seed)
+            seq = greedy_sequence(table, args.seed)
         else:
-            seq = power_sequence(table, dataset, s, args.seed, per_customer=args.per_customer_power)
-        curves[s] = accumulate_curve(seq.prefix(n), dataset, target)
+            seq = power_sequence(table, s, args.seed, per_customer=args.per_customer_power)
+        curves[s] = accumulate_curve(seq.prefix(n), target)
         name = f"curve_{s}.csv"
         write_curve(curves[s], out / name)
         outputs.append(name)
@@ -440,7 +437,7 @@ def build_parser() -> _Parser:
         default="eid,random",
         help="comma-separated subset of eid,contracted,demanded,random",
     )
-    p.add_argument("-n", type=_count, help="customers to acquire (default: all pairable)")
+    p.add_argument("-n", type=_count, help="customers to acquire (default: all the pair table lists)")
     p.add_argument("--reps", type=_count, default=100, help="random-baseline repetitions")
     p.add_argument("--seed", type=_seed, required=True, help="master seed (required; no hidden entropy)")
     p.add_argument("--checkpoints", help="comma-separated steps for the reduction table")

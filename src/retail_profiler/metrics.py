@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from retail_profiler import kernels
-from retail_profiler.model import MONTHS, CustomerDataset, DataError, PairGroups, PairKey
+from retail_profiler.model import MONTHS, CustomerDataset, DataError, PairKey
 
 __all__ = [
     "DegenerateReferenceError",
@@ -22,6 +22,7 @@ __all__ = [
     "profile_distance",
     "median_distance",
     "member_distances",
+    "reference_distance",
     "global_distance",
     "enhancement_metric",
     "eid",
@@ -65,14 +66,16 @@ def median_distance(distances) -> float:
     return float(np.median(arr))
 
 
-def member_distances(dataset: CustomerDataset, groups: PairGroups, resolver) -> np.ndarray:
-    """Distance of every member's shape to its pair's target, aligned with ``groups.rows``.
+def member_distances(dataset: CustomerDataset, resolver) -> np.ndarray:
+    """Distance of each row's shape to its pair's target, one float64 per dataset row.
 
-    The resolver is called once per pair key, and members sharing a target
-    profile are batched into a single kernel pass, so the common
-    single-target and per-province cases never materialize a per-customer
-    target matrix.
+    Rows outside every pair (no key, or zero demand) hold NaN. The walk over
+    ``dataset.pair_groups`` calls the resolver once per pair key, and members
+    sharing a target profile are batched into a single kernel pass, so the
+    common single-target and per-province cases never materialize a
+    per-customer target matrix.
     """
+    groups = dataset.pair_groups
     targets: dict[int, tuple[int, object]] = {}
     target_of = np.empty(len(groups.nace), dtype=np.intp)
     for g, key in enumerate(map(PairKey, groups.nace, groups.location)):
@@ -80,17 +83,23 @@ def member_distances(dataset: CustomerDataset, groups: PairGroups, resolver) -> 
         # the dict keeps each target alive, so its id stays unique while grouping
         target_of[g] = targets.setdefault(id(target), (len(targets), target))[0]
     member_target = np.repeat(target_of, np.diff(groups.offsets))
-    by_target = np.argsort(member_target, kind="stable")
+    by_target = groups.rows[np.argsort(member_target, kind="stable")]
     bounds = np.cumsum(np.bincount(member_target, minlength=len(targets)))
-    distances = np.empty(groups.rows.size, dtype=np.float64)
+    distances = np.full(len(dataset), np.nan)
     lo = 0
     for (_, target), hi in zip(targets.values(), bounds.tolist()):
-        positions = by_target[lo:hi]
-        distances[positions] = kernels.normalized_rmsd(
-            dataset.raw_demand[groups.rows[positions]], target.values
-        )
+        rows = by_target[lo:hi]
+        distances[rows] = kernels.normalized_rmsd(dataset.raw_demand[rows], target.values)
         lo = hi
     return distances
+
+
+def reference_distance(dataset: CustomerDataset, distances: np.ndarray) -> float:
+    """d*: the median of the :func:`member_distances` column over every pairable row."""
+    pairable = distances[dataset.pairable_indices]
+    if pairable.size == 0:
+        raise DataError("no pairable customers with nonzero demand")
+    return float(np.median(pairable))
 
 
 def global_distance(dataset: CustomerDataset, resolver) -> float:
@@ -99,10 +108,7 @@ def global_distance(dataset: CustomerDataset, resolver) -> float:
     This is the expected distance when the next customer is picked uniformly
     at random, and the denominator of every enhancement metric.
     """
-    distances = member_distances(dataset, dataset.pair_groups, resolver)
-    if distances.size == 0:
-        raise DataError("no pairable customers with nonzero demand")
-    return float(np.median(distances))
+    return reference_distance(dataset, member_distances(dataset, resolver))
 
 
 def enhancement_metric(d: float, d_star: float) -> float:

@@ -1,9 +1,9 @@
-"""Core domain model: customer records, dataset ingestion, profile normalization.
+"""Core domain model: the customer dataset, its ingestion, profile normalization.
 
 A dataset is stored column-wise (id/nace/location tuples plus numpy arrays for
 contracted power and the 12 monthly demands) so that downstream passes stream
-over millions of rows without materializing per-row objects. Row objects
-(:class:`CustomerRecord`) are only built on demand at the API edges.
+over millions of rows without materializing per-row objects; the rest of the
+package refers to customers by row index.
 
 Normalization convention: a demand profile is divided by the arithmetic mean
 of its 12 monthly values, so every normalized profile (and every target) has
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,9 +111,13 @@ def normalize_profile(raw) -> NormalizedProfile:
         raise ValueError("raw demand contains non-finite values")
     if np.any(arr < 0):
         raise ValueError("raw demand contains negative values")
-    mean = arr.mean()
-    if mean <= 0.0:
+    if arr.max() <= 0.0:
         raise ZeroDemandError("cannot normalize an all-zero demand profile")
+    mean = arr.mean()
+    if mean < np.finfo(np.float64).tiny:
+        # a subnormal mean keeps few significant bits or rounds to 0; scaling by 2**600 is exact
+        arr = np.ldexp(arr, 600)
+        mean = arr.mean()
     return NormalizedProfile(arr / mean)
 
 
@@ -136,28 +140,6 @@ class PairGroups:
         counts = self.offsets[1:][picks] - starts
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         return self.rows[shift + np.arange(shift.size)]
-
-
-@dataclass(frozen=True, eq=False)
-class CustomerRecord:
-    """One anonymized supply point."""
-
-    id: str
-    nace: str
-    location: str
-    contracted_kw: float
-    raw_demand: np.ndarray
-
-    @property
-    def has_pair_key(self) -> bool:
-        return bool(self.nace) and bool(self.location)
-
-    @property
-    def pair_key(self) -> PairKey:
-        return PairKey(self.nace, self.location)
-
-    def normalized(self) -> NormalizedProfile:
-        return normalize_profile(self.raw_demand)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,27 +257,6 @@ class CustomerDataset:
 
     def index_of(self, customer_id: str) -> int:
         return int(self.rows_of((customer_id,))[0])
-
-    def record(self, i: int) -> CustomerRecord:
-        return CustomerRecord(
-            id=self.ids[i],
-            nace=self.nace[i],
-            location=self.location[i],
-            contracted_kw=float(self.contracted_kw[i]),
-            raw_demand=self.raw_demand[i],
-        )
-
-    def records(self) -> Iterator[CustomerRecord]:
-        for i in range(len(self.ids)):
-            yield self.record(i)
-
-    def normalized_rows(self, indices) -> np.ndarray:
-        """Row-normalized demand shapes for the given row indices."""
-        rows = self.raw_demand[np.asarray(indices, dtype=np.intp)]
-        means = rows.mean(axis=1)
-        if np.any(means <= 0.0):
-            raise ZeroDemandError("cannot normalize rows with zero total demand")
-        return rows / means[:, None]
 
     @cached_property
     def pair_groups(self) -> PairGroups:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from retail_profiler.metrics import DegenerateReferenceError, eid, eid_values, member_distances
+from retail_profiler.metrics import DegenerateReferenceError, eid, eid_values, member_distances, reference_distance
 from retail_profiler.model import (
     MEAN_TOLERANCE,
     MONTHS,
@@ -54,10 +54,12 @@ class PairTable:
 
     ``profiles`` is the read-only ``k x 12`` matrix of pair profiles. The KPI
     columns ``d_k``, ``e_k`` and ``E_k`` are None until :func:`attach_kpis`
-    runs; a table read from CSV holds NaN for an empty KPI cell. Pair p's
-    members are rows of ``dataset`` in customer-id order, concatenated pair
-    after pair in ``member_rows`` (see :attr:`groups`); ``member_rows`` is
-    None for a table loaded without customer data.
+    runs, which also records the reference distance ``d_star`` they were
+    computed against; a table read from CSV holds NaN for an empty KPI cell
+    and no ``d_star``. Pair p's members are rows of ``dataset`` in
+    customer-id order, concatenated pair after pair in ``member_rows`` (see
+    :attr:`groups`); ``member_rows`` is None for a table loaded without
+    customer data.
     """
 
     nace: tuple[str, ...]
@@ -69,6 +71,7 @@ class PairTable:
     d_k: np.ndarray | None = None
     e_k: np.ndarray | None = None
     E_k: np.ndarray | None = None
+    d_star: float | None = None
     member_rows: np.ndarray | None = None
     dataset: CustomerDataset | None = None
     diagnostics: tuple[str, ...] = ()
@@ -152,20 +155,32 @@ def _medians(values: np.ndarray, group_of: np.ndarray, groups: int) -> np.ndarra
     return (ordered[lo + (counts - 1) // 2] + ordered[lo + counts // 2]) / 2.0
 
 
-def attach_kpis(table: PairTable, resolver, d_star: float) -> PairTable:
-    """Attach d_k (median member distance), e_k and E_k to every pair.
+def _kpi_distances(table: PairTable, resolver) -> tuple[np.ndarray, float]:
+    """The members' distances, in member order, and d* from the same distance pass.
+
+    d* is the median over every pairable row of the table's dataset, also
+    over the rows of pairs the table does not list.
+    """
+    members = table.groups.rows  # raises for a table without customer data
+    distances = member_distances(table.dataset, resolver)
+    d_star = reference_distance(table.dataset, distances)
+    if not d_star > 0:
+        raise DegenerateReferenceError(f"reference distance must be > 0, got {d_star!r}")
+    return distances[members], d_star
+
+
+def attach_kpis(table: PairTable, resolver) -> PairTable:
+    """Attach d_k (median member distance), e_k and E_k to every pair, and d* to the table.
 
     All pair medians come out of a single global sort of the member
     distances (mean-of-two-middles for even counts, as everywhere else).
     """
-    if not (d_star > 0):
-        raise DegenerateReferenceError(f"reference distance must be > 0, got {d_star!r}")
     if not len(table):
         return table
-    distances = member_distances(table.dataset, table.groups, resolver)
+    distances, d_star = _kpi_distances(table, resolver)
     d_k = _medians(distances, np.repeat(np.arange(len(table)), table.n_k), len(table))
     e_k = 1.0 - d_k / d_star
-    return replace(table, d_k=d_k, e_k=e_k, E_k=eid_values(e_k))
+    return replace(table, d_k=d_k, e_k=e_k, E_k=eid_values(e_k), d_star=d_star)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,22 +274,19 @@ class IndicatorMatrix:
 
 def aggregate_matrix(
     table: PairTable,
-    dataset: CustomerDataset,
     province_of: Callable[[str], str],
     division_of: Callable[[str], str],
     resolver,
-    d_star: float,
 ) -> IndicatorMatrix:
     """Pool customer distances by province x division and convert to indicators.
 
     All member distances in a group are pooled before taking the median
     (pooling raw distances is not the same as taking the median of the pair
-    medians). Pairs whose codes cannot be mapped are excluded and reported in
-    the diagnostics.
+    medians). The indicators divide by d*, derived as in :func:`attach_kpis`.
+    Pairs whose codes cannot be mapped are excluded and reported in the
+    diagnostics.
     """
-    if not (d_star > 0):
-        raise DegenerateReferenceError(f"reference distance must be > 0, got {d_star!r}")
-    distances = member_distances(table.dataset, table.groups, resolver)
+    distances, d_star = _kpi_distances(table, resolver)
 
     # pool each pair's member distances into its (province, division) cell
     cells: dict[tuple[str, str], int] = {}

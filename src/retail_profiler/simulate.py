@@ -77,19 +77,13 @@ class AcquisitionSequence:
 
 @dataclass(frozen=True, eq=False)
 class DistanceCurve:
-    """Aggregate-demand distance to the target after each acquisition step."""
+    """Aggregate-demand distance to the target after each acquisition step 1..n."""
 
-    steps: np.ndarray
     distance: np.ndarray
     strategy: str = "eid"
 
     def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=np.int64)
-        distance = np.asarray(self.distance, dtype=np.float64)
-        if steps.shape != distance.shape:
-            raise ValueError("steps and distance lengths differ")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "distance", np.asarray(self.distance, dtype=np.float64))
 
     def at(self, n: int) -> float:
         i = int(n) - 1
@@ -100,9 +94,8 @@ class DistanceCurve:
 
 @dataclass(frozen=True, eq=False)
 class BaselineCurve:
-    """Median and interquartile band over repeated random acquisition runs."""
+    """Median and interquartile band over repeated random runs, at steps 1..n."""
 
-    steps: np.ndarray
     median: np.ndarray
     q1: np.ndarray
     q3: np.ndarray
@@ -115,7 +108,7 @@ class BaselineCurve:
         return float(self.median[i])
 
 
-def _member_dataset(table: PairTable, dataset: CustomerDataset | None) -> CustomerDataset:
+def _member_dataset(table: PairTable) -> CustomerDataset:
     """The dataset whose rows the table's member lists index, checked for KPIs."""
     if not len(table):
         raise DataError("pair table is empty")
@@ -123,20 +116,16 @@ def _member_dataset(table: PairTable, dataset: CustomerDataset | None) -> Custom
         raise ValueError("pair table has no KPIs attached; run attach_kpis first")
     if table.dataset is None or table.member_rows is None:
         raise ValueError("pair table lacks member lists; reload it together with the customer data")
-    if dataset is not None and dataset is not table.dataset:
-        raise ValueError("dataset is not the one the pair table's member lists index")
     return table.dataset
 
 
-def _pair_ordered_sequence(
-    table: PairTable, dataset: CustomerDataset, power: np.ndarray, strategy: str, seed: int
-) -> AcquisitionSequence:
+def _pair_ordered_sequence(table: PairTable, power: np.ndarray, strategy: str, seed: int) -> AcquisitionSequence:
     """Pairs by decreasing ``power``, then ascending d_k, then (nace, location).
 
     The table is in (nace, location) order, so one stable sort on the first
     two keys gives the whole order. Members are shuffled within each pair.
     """
-    dataset = _member_dataset(table, dataset)
+    dataset = _member_dataset(table)
     order = np.lexsort((table.d_k, -power))
     rows = table.groups.members(order)
     counts = table.n_k[order]
@@ -148,32 +137,26 @@ def _pair_ordered_sequence(
     return AcquisitionSequence(rows=rows, dataset=dataset, strategy=strategy, seed=seed)
 
 
-def greedy_sequence(table: PairTable, dataset: CustomerDataset, seed: int) -> AcquisitionSequence:
+def greedy_sequence(table: PairTable, seed: int) -> AcquisitionSequence:
     """Pairs by decreasing enhancement indicator, members shuffled within each pair.
 
     Ties on the indicator are broken by ascending pair distance, then by
     (nace, location), so a run is fully determined by the seed.
     """
-    return _pair_ordered_sequence(table, dataset, table.E_k, "eid", seed)
+    return _pair_ordered_sequence(table, table.E_k, "eid", seed)
 
 
-def power_sequence(
-    table: PairTable,
-    dataset: CustomerDataset,
-    key: str,
-    seed: int,
-    per_customer: bool = False,
-) -> AcquisitionSequence:
+def power_sequence(table: PairTable, key: str, seed: int, per_customer: bool = False) -> AcquisitionSequence:
     """Pairs by decreasing average contracted (or demanded) power.
 
-    ``per_customer=True`` switches to ordering individual customers by their
+    ``per_customer=True`` switches to ordering the table's customers by their
     own power instead of pair averages (ties broken by id; no shuffling).
     """
     if key not in ("contracted", "demanded"):
         raise ValueError(f"power key must be 'contracted' or 'demanded', got {key!r}")
     if per_customer:
-        dataset = _member_dataset(table, dataset)
-        idx = dataset.pairable_indices
+        dataset = _member_dataset(table)
+        idx = table.member_rows
         power = (
             dataset.contracted_kw[idx]
             if key == "contracted"
@@ -183,7 +166,7 @@ def power_sequence(
         rows = idx[np.lexsort((ids, -power))]
         return AcquisitionSequence(rows=rows, dataset=dataset, strategy=key, seed=seed)
     power = table.avg_contracted if key == "contracted" else table.avg_demand
-    return _pair_ordered_sequence(table, dataset, power, key, seed)
+    return _pair_ordered_sequence(table, power, key, seed)
 
 
 def random_sequence(dataset: CustomerDataset, n: int, seed) -> AcquisitionSequence:
@@ -198,17 +181,13 @@ def random_sequence(dataset: CustomerDataset, n: int, seed) -> AcquisitionSequen
     return AcquisitionSequence(rows=picks, dataset=dataset, strategy="random", seed=seed)
 
 
-def accumulate_curve(
-    seq: AcquisitionSequence, dataset: CustomerDataset, target: TargetProfile
-) -> DistanceCurve:
+def accumulate_curve(seq: AcquisitionSequence, target: TargetProfile) -> DistanceCurve:
     """Distance curve of the sequence's accumulated demand against the target.
 
     The running monthly sum is updated incrementally; total cost is linear in
-    the sequence length. ``dataset`` must be the one the sequence was drawn
-    from.
+    the sequence length.
     """
-    if seq.dataset is not dataset:
-        raise ValueError("sequence was drawn from a different dataset")
+    dataset = seq.dataset
     rows = seq.rows
     zero = ~dataset.nonzero_mask[rows]
     if zero.any():
@@ -218,9 +197,7 @@ def accumulate_curve(
         distances = kernels.accumulate_distance_curve(dataset.raw_demand[rows], target.values)
     except OverflowError as exc:
         raise DataError(f"{seq.strategy} sequence: {exc}") from None
-    return DistanceCurve(
-        steps=np.arange(1, rows.size + 1), distance=distances, strategy=seq.strategy
-    )
+    return DistanceCurve(distance=distances, strategy=seq.strategy)
 
 
 def baseline_band(
@@ -245,7 +222,7 @@ def baseline_band(
 
     def one(rep: int) -> None:
         seq = random_sequence(dataset, n, np.random.SeedSequence([seed, rep]))
-        stack[rep] = accumulate_curve(seq, dataset, target).distance
+        stack[rep] = accumulate_curve(seq, target).distance
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -254,9 +231,7 @@ def baseline_band(
         for rep in range(reps):
             one(rep)
     q1, median, q3 = _quartiles(stack)
-    return BaselineCurve(
-        steps=np.arange(1, n + 1), median=median, q1=q1, q3=q3, repetitions=reps
-    )
+    return BaselineCurve(median=median, q1=q1, q3=q3, repetitions=reps)
 
 
 def _quartiles(stack: np.ndarray) -> np.ndarray:
@@ -295,8 +270,8 @@ def write_curve(curve: DistanceCurve, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("step", "distance"))
-        for step, d in zip(curve.steps, curve.distance):
-            writer.writerow((int(step), format_float(d)))
+        for step, d in enumerate(curve.distance.tolist(), 1):
+            writer.writerow((step, format_float(d)))
 
 
 def write_baseline(curve: BaselineCurve, path) -> None:
@@ -304,8 +279,8 @@ def write_baseline(curve: BaselineCurve, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("step", "median", "q1", "q3"))
-        for step, m, a, b in zip(curve.steps, curve.median, curve.q1, curve.q3):
-            writer.writerow((int(step), format_float(m), format_float(a), format_float(b)))
+        for step, (m, a, b) in enumerate(zip(curve.median, curve.q1, curve.q3), 1):
+            writer.writerow((step, format_float(m), format_float(a), format_float(b)))
 
 
 def write_reduction(rows: Sequence[tuple[int, float]], path) -> None:

@@ -7,7 +7,7 @@ import csv
 import numpy as np
 import pytest
 
-from retail_profiler import metrics, pairing, synth, targets
+from retail_profiler import pairing, synth, targets
 from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset
 
 
@@ -67,6 +67,5 @@ def mid_run(solar_default):
     )
     dataset, truth = synth.generate(config, solar_default)
     resolver = targets.constant_resolver(solar_default)
-    d_star = metrics.global_distance(dataset, resolver)
-    table = pairing.attach_kpis(pairing.build_pairs(dataset), resolver, d_star)
-    return config, dataset, truth, table, d_star
+    table = pairing.attach_kpis(pairing.build_pairs(dataset), resolver)
+    return config, dataset, truth, table, table.d_star

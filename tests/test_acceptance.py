@@ -121,12 +121,12 @@ def test_incremental_matches_from_scratch_oracle(mid_run, solar_default):
     _, dataset, _, table, _ = mid_run
     n = dataset.pairable_count
     sequences = [
-        simulate.greedy_sequence(table, dataset, seed=4),
+        simulate.greedy_sequence(table, seed=4),
         simulate.random_sequence(dataset, n, seed=4),
     ]
     for seq in sequences:
         assert len(seq.ids) == 10_000
-        curve = simulate.accumulate_curve(seq, dataset, solar_default)
+        curve = simulate.accumulate_curve(seq, solar_default)
         idx = np.array([dataset.index_of(cid) for cid in seq.ids])
         raw = dataset.raw_demand[idx]
         goal = solar_default.values
@@ -163,11 +163,10 @@ def test_strategy_quality(reference_run, solar_default):
     config, dataset, truth = reference_run
     assert truth.planted_count == 2000
     resolver = targets.constant_resolver(solar_default)
-    d_star = metrics.global_distance(dataset, resolver)
-    table = pairing.attach_kpis(pairing.build_pairs(dataset), resolver, d_star)
+    table = pairing.attach_kpis(pairing.build_pairs(dataset), resolver)
 
     greedy = simulate.accumulate_curve(
-        simulate.greedy_sequence(table, dataset, seed=42).prefix(1000), dataset, solar_default
+        simulate.greedy_sequence(table, seed=42).prefix(1000), solar_default
     )
     baseline = simulate.baseline_band(dataset, solar_default, n=1000, reps=100, seed=42)
 
@@ -181,7 +180,7 @@ def test_strategy_quality(reference_run, solar_default):
 
     # deterministic under the fixed seed: bit-identical rerun
     greedy_again = simulate.accumulate_curve(
-        simulate.greedy_sequence(table, dataset, seed=42).prefix(1000), dataset, solar_default
+        simulate.greedy_sequence(table, seed=42).prefix(1000), solar_default
     )
     baseline_again = simulate.baseline_band(dataset, solar_default, n=1000, reps=100, seed=42)
     assert np.array_equal(greedy.distance, greedy_again.distance)
@@ -201,10 +200,10 @@ def test_convergence_at_exhaustion(mid_run, solar_default):
     _, dataset, _, table, _ = mid_run
     n = dataset.pairable_count
     finals = [
-        simulate.accumulate_curve(seq, dataset, solar_default).distance[-1]
+        simulate.accumulate_curve(seq, solar_default).distance[-1]
         for seq in (
-            simulate.greedy_sequence(table, dataset, seed=8),
-            simulate.power_sequence(table, dataset, "contracted", seed=8),
+            simulate.greedy_sequence(table, seed=8),
+            simulate.power_sequence(table, "contracted", seed=8),
             simulate.random_sequence(dataset, n, seed=8),
         )
     ]
@@ -231,11 +230,11 @@ def test_linear_scaling(scaling_dataset, solar_default):
         times = []
         for _ in range(3):
             t0 = time.perf_counter()
-            simulate.accumulate_curve(seq, dataset, solar_default)
+            simulate.accumulate_curve(seq, solar_default)
             times.append(time.perf_counter() - t0)
         return float(np.median(times))
 
-    simulate.accumulate_curve(half, dataset, solar_default)  # warm up
+    simulate.accumulate_curve(half, solar_default)  # warm up
     t_half = median_time(half)
     t_full = median_time(full)
     ratio = t_full / t_half

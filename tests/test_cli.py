@@ -12,7 +12,7 @@ import pytest
 import retail_profiler
 from retail_profiler import metrics, pairing, targets
 from retail_profiler.cli import main, parse_target_spec
-from retail_profiler.model import DataError, load_customers
+from retail_profiler.model import DataError, load_customers, normalize_profile
 from tests.conftest import flat_demand, offset_demand, write_customer_csv
 
 
@@ -154,8 +154,7 @@ class TestPairs:
         table = pairing.read_pair_table(workspace / "kpis" / "pairs.csv", dataset)
         target = targets.default_solar_target()
         resolver = targets.constant_resolver(target)
-        d_star = metrics.global_distance(dataset, resolver)
-        recomputed = pairing.attach_kpis(pairing.build_pairs(dataset), resolver, d_star)
+        recomputed = pairing.attach_kpis(pairing.build_pairs(dataset), resolver)
         assert len(table) == len(recomputed)
         assert table.nace == recomputed.nace
         assert table.location == recomputed.location
@@ -173,7 +172,9 @@ class TestPairs:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "d(*) =" in out
+        dataset = load_customers(workspace / "data" / "customers.csv")
+        d_star = metrics.global_distance(dataset, targets.constant_resolver(targets.flat_target()))
+        assert f"d(*) = {d_star!r}\n" in out
 
     def test_singleton_dataset_n_k_column(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -240,7 +241,7 @@ class TestPerProvinceTargets:
         dataset = load_customers(customers)
         target = targets.complement_target(targets.load_aggregate_demand(agg))
         expected = metrics.profile_distance(
-            dataset.normalized_rows([0])[0], target
+            normalize_profile(dataset.raw_demand[0]), target
         )
         with (out / "pairs.csv").open() as fh:
             [row] = list(csv.DictReader(fh))
@@ -446,6 +447,31 @@ class TestSimulate:
         assert main(args + ["--out", str(out_env)]) == 0
         assert digest(out_serial / "baseline.csv") == digest(out_env / "baseline.csv")
 
+    def test_default_n_is_the_customers_the_table_lists(self, workspace, tmp_path):
+        # a pairs.csv cut to its first rows lists fewer customers than are pairable
+        header, *rows = (workspace / "kpis" / "pairs.csv").read_text().splitlines()
+        subset = tmp_path / "pairs.csv"
+        subset.write_text("\n".join([header] + rows[:20]) + "\n")
+        listed = sum(int(row.split(",")[2]) for row in rows[:20])
+        args = [
+            "simulate",
+            "--customers", str(workspace / "data" / "customers.csv"),
+            "--pairs", str(subset),
+            "--target", "solar:default",
+            "--reps", "3",
+            "--seed", "1",
+        ]
+        proc = run_cli(*args, "-n", str(listed + 1), "--out", str(tmp_path / "over"))
+        assert proc.returncode == 2
+        assert f"-n {listed + 1} exceeds the {listed} customers the pair table lists" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        proc = run_cli(*args, "--out", str(tmp_path / "sim"))
+        assert proc.returncode == 0, proc.stderr
+        for name in ("curve_eid.csv", "baseline.csv"):
+            lines = (tmp_path / "sim" / name).read_text().splitlines()
+            assert len(lines) == listed + 1
+            assert lines[-1].startswith(f"{listed},")
+
     def test_threads_env_must_be_positive(self, workspace, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RETAIL_PROFILER_THREADS", "-3")
         code = main(
@@ -498,3 +524,18 @@ class TestTargetSpecs:
     def test_unknown(self):
         with pytest.raises(DataError):
             parse_target_spec("zodiac")
+
+
+def test_perfbench_tracer_finds_every_traced_function(tmp_path):
+    # the benchmark's tracer looks up each function it wraps by name, so it
+    # fails to start once one of them is deleted or renamed
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "tracer.py"), str(tmp_path / "spans.json"), "--version"],
+        capture_output=True,
+        text=True,
+        cwd=repo,
+        env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -233,9 +233,24 @@ class TestCustomerDistances:
             calls.append(key)
             return flat_target()
 
-        distances = metrics.member_distances(ds, ds.pair_groups, resolver)
+        distances = metrics.member_distances(ds, resolver)
         assert len(calls) == 2
         assert distances.size == 3
+
+    def test_nan_exactly_outside_every_pair(self):
+        ds = make_dataset(
+            [
+                ("A", "X", "L1", 1.0, offset_demand()),
+                ("NO-NACE", "", "L1", 1.0, offset_demand()),
+                ("ZERO", "X", "L1", 1.0, [0.0] * 12),
+                ("NO-LOCATION", "Y", "", 1.0, offset_demand()),
+                ("B", "Y", "L2", 1.0, flat_demand()),
+            ]
+        )
+        distances = metrics.member_distances(ds, constant_resolver(flat_target()))
+        assert distances.shape == (5,)
+        assert np.isnan(distances).tolist() == [False, True, True, True, False]
+        assert np.array_equal(np.flatnonzero(~np.isnan(distances)), ds.pairable_indices)
 
     def test_one_kernel_pass_per_distinct_target(self, monkeypatch):
         ds = make_dataset(
@@ -254,10 +269,9 @@ class TestCustomerDistances:
             return kernel(raw, target)
 
         monkeypatch.setattr(metrics.kernels, "normalized_rmsd", counted)
-        groups = ds.pair_groups
-        distances = metrics.member_distances(ds, groups, lambda key: by_location[key.location])
+        distances = metrics.member_distances(ds, lambda key: by_location[key.location])
         assert sorted(passes) == [1, 2]
-        # each distance lines up with its member row in the grouped layout
-        for row, d in zip(groups.rows.tolist(), distances.tolist()):
+        # each distance lines up with its dataset row
+        for row, d in enumerate(distances.tolist()):
             target = by_location[ds.location[row]]
             assert d == pytest.approx(profile_distance(normalize_profile(ds.raw_demand[row]), target), rel=1e-12)

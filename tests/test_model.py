@@ -52,6 +52,12 @@ class TestNormalize:
         b = normalize_profile([k * v for v in raw]).values
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
+    def test_subnormal_demands_normalize_exactly(self):
+        # the mean of these months is subnormal, or rounds to zero
+        for tiny in (5e-324, 2.2250738585e-313):
+            values = normalize_profile([0.0] * 11 + [tiny]).values
+            assert values.tolist() == [0.0] * 11 + [12.0]
+
     @given(positive_demands)
     def test_unit_mean_property(self, raw):
         assert abs(normalize_profile(raw).values.mean() - 1.0) <= 1e-9
@@ -199,14 +205,6 @@ class TestRoundTrip:
 
 
 class TestDataset:
-    def test_record_access(self):
-        ds = make_dataset([("A", "J61.1", "P36-M001", 10.0, flat_demand())])
-        rec = ds.record(0)
-        assert rec.id == "A"
-        assert rec.pair_key == ("J61.1", "P36-M001")
-        assert rec.has_pair_key
-        assert list(ds.records())[0].id == "A"
-
     def test_index_of_unknown_id(self):
         ds = make_dataset([("A", "J61.1", "P36-M001", 10.0, flat_demand())])
         from retail_profiler.model import DataError

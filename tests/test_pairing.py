@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from retail_profiler import pairing
-from retail_profiler.metrics import DegenerateReferenceError, eid, member_distances, profile_distance
+from retail_profiler.metrics import DegenerateReferenceError, eid, global_distance, member_distances, profile_distance
 from retail_profiler.model import DataError, PairKey, normalize_profile
 from retail_profiler.pairing import (
     attach_kpis,
@@ -42,6 +42,17 @@ def alternating(distance, base=100.0):
 FLAT = flat_target()
 RESOLVER = constant_resolver(FLAT)
 RESOLVER_SOLAR = constant_resolver(default_solar_target())
+
+
+def with_d_star_half(rows):
+    """Dataset of the rows plus customers at distance exactly 0.5 from flat.
+
+    They form one pair of their own, ("Z99.9", "Q99-M999"), which sorts after
+    the rows' pairs and maps to its own matrix cell, and there are enough of
+    them to make d* = 0.5 against the flat target.
+    """
+    pinned = [(f"REF{i}", "Z99.9", "Q99-M999", 1.0, alternating(0.5)) for i in range(len(rows) + 1)]
+    return make_dataset(rows + pinned)
 
 
 def member_ids(table, p):
@@ -127,8 +138,9 @@ class TestBuildPairs:
 
 class TestAttachKpis:
     def test_perfect_single_member_pair(self):
-        ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
-        table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
+        ds = with_d_star_half([("A", "X", "L1", 1.0, flat_demand())])
+        table = attach_kpis(build_pairs(ds), RESOLVER)
+        assert table.d_star == 0.5
         assert table.d_k[0] == 0.0
         assert table.e_k[0] == 1.0
         assert table.E_k[0] == 1.0
@@ -142,15 +154,17 @@ class TestAttachKpis:
                 ("C", "X", "L1", 1.0, alternating(0.5)),
             ]
         )
-        table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
+        table = attach_kpis(build_pairs(ds), RESOLVER)
+        assert table.d_star == 0.5
         assert table.d_k[0] == 0.5
         assert table.e_k[0] == 0.0
         assert table.E_k[0] == 0.0
 
     def test_exp_branch(self):
         # d_k = 1.5 with d* = 0.5 puts the metric at -2
-        ds = make_dataset([("A", "X", "L1", 1.0, spiky(1.5))])
-        table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
+        ds = with_d_star_half([("A", "X", "L1", 1.0, spiky(1.5))])
+        table = attach_kpis(build_pairs(ds), RESOLVER)
+        assert table.d_star == 0.5
         assert table.e_k[0] == pytest.approx(-2.0, abs=1e-12)
         assert table.E_k[0] == pytest.approx(math.exp(-2.0) - 1.0, abs=1e-12)
         assert table.E_k[0] == pytest.approx(-0.8647, abs=1e-4)
@@ -158,7 +172,7 @@ class TestAttachKpis:
     def test_singleton_d_k_equals_member_distance(self):
         demand = offset_demand(100, 37)
         ds = make_dataset([("A", "X", "L1", 1.0, demand)])
-        table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
+        table = attach_kpis(build_pairs(ds), RESOLVER)
         assert table.d_k[0] == profile_distance(normalize_profile(demand), FLAT)
 
     def test_d_k_is_not_the_pair_profile_distance(self):
@@ -172,21 +186,46 @@ class TestAttachKpis:
                 ("B", "X", "L1", 1.0, low_first),
             ]
         )
-        table = attach_kpis(build_pairs(ds), RESOLVER, d_star=0.5)
+        table = attach_kpis(build_pairs(ds), RESOLVER)
         profile_d = profile_distance(table.profiles[0], FLAT)
         assert table.d_k[0] == pytest.approx(0.6, abs=1e-12)
         assert profile_d < 1e-9  # averaged shape is flat
         assert table.d_k[0] != profile_d
 
     def test_degenerate_reference(self):
-        ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
+        # every customer fits the target, so d* = 0
+        ds = make_dataset([(f"C{i}", "X", f"L{i % 2}", 1.0, flat_demand(10.0 * (i + 1))) for i in range(3)])
+        table = build_pairs(ds)
         with pytest.raises(DegenerateReferenceError):
-            attach_kpis(build_pairs(ds), RESOLVER, d_star=0.0)
+            attach_kpis(table, RESOLVER)
+        with pytest.raises(DegenerateReferenceError):
+            aggregate_matrix(table, default_province, default_division, RESOLVER)
+
+    def test_d_star_is_global_distance(self, mid_run):
+        _, dataset, _, table, d_star = mid_run
+        assert d_star == global_distance(dataset, RESOLVER_SOLAR)  # bit for bit
+        assert np.array_equal(table.e_k, 1.0 - table.d_k / d_star)
+
+    def test_d_star_covers_pairs_the_table_does_not_list(self, tmp_path):
+        # the table read back lists only A's pair; d* still comes from every
+        # pairable row, so it is 0.5, not A's own 0.2
+        ds = with_d_star_half([("A", "J61.1", "P36-M001", 1.0, alternating(0.2))])
+        path = tmp_path / "pairs.csv"
+        write_pair_table(build_pairs(ds), path)
+        header, first, _ = path.read_text().splitlines()
+        path.write_text(header + "\n" + first + "\n")
+        subset = read_pair_table(path, ds)
+        d = member_distances(ds, RESOLVER)[0]
+        table = attach_kpis(subset, RESOLVER)
+        assert table.d_star == 0.5
+        assert table.e_k[0] == 1.0 - d / 0.5
+        matrix = aggregate_matrix(subset, default_province, default_division, RESOLVER)
+        assert matrix.cell("P36", "J61") == (eid(1.0 - d / 0.5), 1)
 
     def test_d_k_bitwise_equals_per_pair_median(self, mid_run):
         # the batched sort must reproduce a per-slice median exactly
         _, _, _, table, _ = mid_run
-        distances = member_distances(table.dataset, table.groups, RESOLVER_SOLAR)
+        distances = member_distances(table.dataset, RESOLVER_SOLAR)[table.member_rows]
         offsets = table.groups.offsets
         for d_k, lo, hi in zip(table.d_k, offsets[:-1], offsets[1:]):
             assert d_k == float(np.median(distances[lo:hi]))
@@ -250,20 +289,20 @@ class TestIdentificationStats:
 
 class TestAggregateMatrix:
     def test_single_perfect_customer_cell_is_one(self):
-        ds = make_dataset([("A", "J61.1", "P36-M001", 1.0, flat_demand())])
+        ds = with_d_star_half([("A", "J61.1", "P36-M001", 1.0, flat_demand())])
         table = build_pairs(ds)
-        matrix = aggregate_matrix(table, ds, default_province, default_division, RESOLVER, 0.5)
+        matrix = aggregate_matrix(table, default_province, default_division, RESOLVER)
         assert matrix.cell("P36", "J61") == (1.0, 1)
 
     def test_absent_group_is_empty_marker(self):
-        ds = make_dataset(
+        ds = with_d_star_half(
             [
                 ("A", "J61.1", "P36-M001", 1.0, flat_demand()),
                 ("B", "A01.2", "P02-M001", 1.0, flat_demand()),
             ]
         )
         table = build_pairs(ds)
-        matrix = aggregate_matrix(table, ds, default_province, default_division, RESOLVER, 0.5)
+        matrix = aggregate_matrix(table, default_province, default_division, RESOLVER)
         value, count = matrix.cell("P36", "A01")
         assert count == 0
         assert math.isnan(value)
@@ -277,7 +316,7 @@ class TestAggregateMatrix:
             ]
         )
         table = build_pairs(ds)
-        matrix = aggregate_matrix(table, ds, default_province, default_division, RESOLVER, 0.4)
+        matrix = aggregate_matrix(table, default_province, default_division, RESOLVER)
         value, count = matrix.cell("P36", "J61")
         assert count == 2
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -292,8 +331,8 @@ class TestAggregateMatrix:
             ]
         )
         table = build_pairs(ds)
-        d_star = 0.5
-        matrix = aggregate_matrix(table, ds, default_province, default_division, RESOLVER, d_star)
+        d_star = global_distance(ds, RESOLVER)  # the median of all three, 0.6
+        matrix = aggregate_matrix(table, default_province, default_division, RESOLVER)
         value, count = matrix.cell("P36", "J61")
         assert count == 3
         pooled = eid(1.0 - 0.6 / d_star)
@@ -302,7 +341,7 @@ class TestAggregateMatrix:
         assert abs(value - of_medians) > 0.05
 
     def test_unmappable_code_reported_and_excluded(self):
-        ds = make_dataset(
+        ds = with_d_star_half(
             [
                 ("A", "J61.1", "P36-M001", 1.0, flat_demand()),
                 ("B", "A01.2", "XXX", 1.0, flat_demand()),
@@ -310,9 +349,7 @@ class TestAggregateMatrix:
         )
         table = build_pairs(ds)
         mapping = {"P36-M001": "P36"}
-        matrix = aggregate_matrix(
-            table, ds, mapping.__getitem__, default_division, RESOLVER, 0.5
-        )
+        matrix = aggregate_matrix(table, mapping.__getitem__, default_division, RESOLVER)
         assert matrix.provinces == ("P36",)
         assert any("XXX" in line for line in matrix.diagnostics)
 
@@ -325,7 +362,7 @@ class TestAggregateMatrix:
             ]
         )
         table = build_pairs(ds)
-        matrix = aggregate_matrix(table, ds, default_province, default_division, RESOLVER, 0.5)
+        matrix = aggregate_matrix(table, default_province, default_division, RESOLVER)
         row = slice_row(matrix, "P36")
         assert [division for division, _, _ in row] == ["A01", "C03", "B02"]
         # recompute-and-sort oracle
@@ -336,18 +373,14 @@ class TestAggregateMatrix:
         assert row == [(d, v, c) for d, v, c in expected]
 
     def test_slice_row_unknown_province(self):
-        ds = make_dataset([("A", "J61.1", "P36-M001", 1.0, flat_demand())])
-        matrix = aggregate_matrix(
-            build_pairs(ds), ds, default_province, default_division, RESOLVER, 0.5
-        )
+        ds = with_d_star_half([("A", "J61.1", "P36-M001", 1.0, flat_demand())])
+        matrix = aggregate_matrix(build_pairs(ds), default_province, default_division, RESOLVER)
         with pytest.raises(DataError, match="unknown province"):
             slice_row(matrix, "P99")
 
     def test_single_division_row(self):
-        ds = make_dataset([("A", "J61.1", "P36-M001", 1.0, flat_demand())])
-        matrix = aggregate_matrix(
-            build_pairs(ds), ds, default_province, default_division, RESOLVER, 0.5
-        )
+        ds = with_d_star_half([("A", "J61.1", "P36-M001", 1.0, flat_demand())])
+        matrix = aggregate_matrix(build_pairs(ds), default_province, default_division, RESOLVER)
         assert len(slice_row(matrix, "P36")) == 1
 
 
@@ -399,7 +432,7 @@ class TestCsvRoundTrip:
         ds = make_dataset(
             [(f"C{i}", "X", "L1", 1.0, offset_demand(100, 10 + i)) for i in range(3)]
         )
-        table = attach_kpis(build_pairs(ds), RESOLVER, 0.5)
+        table = attach_kpis(build_pairs(ds), RESOLVER)
         path = tmp_path / "pairs.csv"
         write_pair_table(table, path)
         loaded = read_pair_table(path)
@@ -410,7 +443,7 @@ class TestCsvRoundTrip:
 
     def test_cardinality_mismatch_rejected(self, tmp_path):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
-        table = attach_kpis(build_pairs(ds), RESOLVER, 0.5)
+        table = build_pairs(ds)
         path = tmp_path / "pairs.csv"
         write_pair_table(table, path)
         bigger = make_dataset(
@@ -424,7 +457,7 @@ class TestCsvRoundTrip:
 
     def test_unknown_pair_rejected(self, tmp_path):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
-        table = attach_kpis(build_pairs(ds), RESOLVER, 0.5)
+        table = build_pairs(ds)
         path = tmp_path / "pairs.csv"
         write_pair_table(table, path)
         other = make_dataset([("A", "Y", "L1", 1.0, flat_demand())])
@@ -435,7 +468,7 @@ class TestCsvRoundTrip:
     def test_profile_without_unit_mean_rejected(self, tmp_path):
         ds = make_dataset([("A", "X", "L1", 1.0, offset_demand())])
         path = tmp_path / "pairs.csv"
-        write_pair_table(attach_kpis(build_pairs(ds), RESOLVER, 0.5), path)
+        write_pair_table(attach_kpis(build_pairs(ds), RESOLVER), path)
         header, row = path.read_text().splitlines()
         cells = row.split(",")
         cells[-1] = str(float(cells[-1]) + 0.5)
@@ -464,7 +497,7 @@ class TestCsvRoundTrip:
             [(f"C{i}", f"N{i}", "L1", 1.0, offset_demand(100, 10 + i)) for i in range(3)]
         )
         path = tmp_path / "pairs.csv"
-        write_pair_table(attach_kpis(build_pairs(ds), RESOLVER, 0.5), path)
+        write_pair_table(attach_kpis(build_pairs(ds), RESOLVER), path)
         return path, ds
 
     @staticmethod
@@ -533,5 +566,5 @@ class TestGlobalConsistency:
     def test_global_distance_matches_pooled_everything(self, mid_run):
         _, dataset, _, table, d_star = mid_run
         # d* is the median over exactly the customers the pairs partition
-        distances = member_distances(table.dataset, table.groups, RESOLVER_SOLAR)
+        distances = member_distances(table.dataset, RESOLVER_SOLAR)[table.member_rows]
         assert float(np.median(distances)) == pytest.approx(d_star, rel=1e-12)

@@ -111,13 +111,9 @@ def normalize_profile(raw) -> NormalizedProfile:
         raise ValueError("raw demand contains non-finite values")
     if np.any(arr < 0):
         raise ValueError("raw demand contains negative values")
-    if arr.max() <= 0.0:
-        raise ZeroDemandError("cannot normalize an all-zero demand profile")
     mean = arr.mean()
-    if mean < np.finfo(np.float64).tiny:
-        # a subnormal mean keeps few significant bits or rounds to 0; scaling by 2**600 is exact
-        arr = np.ldexp(arr, 600)
-        mean = arr.mean()
+    if mean <= 0.0:
+        raise ZeroDemandError("cannot normalize an all-zero demand profile")
     return NormalizedProfile(arr / mean)
 
 

@@ -18,7 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from retail_profiler.metrics import DegenerateReferenceError, eid, eid_values, member_distances, reference_distance
+from retail_profiler.metrics import (
+    DegenerateReferenceError,
+    eid,
+    eid_values,
+    member_distances,
+    reference_distance,
+)
 from retail_profiler.model import (
     MEAN_TOLERANCE,
     MONTHS,

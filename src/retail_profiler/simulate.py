@@ -119,7 +119,9 @@ def _member_dataset(table: PairTable) -> CustomerDataset:
     return table.dataset
 
 
-def _pair_ordered_sequence(table: PairTable, power: np.ndarray, strategy: str, seed: int) -> AcquisitionSequence:
+def _pair_ordered_sequence(
+    table: PairTable, power: np.ndarray, strategy: str, seed: int
+) -> AcquisitionSequence:
     """Pairs by decreasing ``power``, then ascending d_k, then (nace, location).
 
     The table is in (nace, location) order, so one stable sort on the first
@@ -146,7 +148,9 @@ def greedy_sequence(table: PairTable, seed: int) -> AcquisitionSequence:
     return _pair_ordered_sequence(table, table.E_k, "eid", seed)
 
 
-def power_sequence(table: PairTable, key: str, seed: int, per_customer: bool = False) -> AcquisitionSequence:
+def power_sequence(
+    table: PairTable, key: str, seed: int, per_customer: bool = False
+) -> AcquisitionSequence:
     """Pairs by decreasing average contracted (or demanded) power.
 
     ``per_customer=True`` switches to ordering the table's customers by their

@@ -52,12 +52,6 @@ class TestNormalize:
         b = normalize_profile([k * v for v in raw]).values
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    def test_subnormal_demands_normalize_exactly(self):
-        # the mean of these months is subnormal, or rounds to zero
-        for tiny in (5e-324, 2.2250738585e-313):
-            values = normalize_profile([0.0] * 11 + [tiny]).values
-            assert values.tolist() == [0.0] * 11 + [12.0]
-
     @given(positive_demands)
     def test_unit_mean_property(self, raw):
         assert abs(normalize_profile(raw).values.mean() - 1.0) <= 1e-9

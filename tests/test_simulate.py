@@ -252,7 +252,6 @@ class TestRows:
         seq = power_sequence(table, "contracted", seed=0, per_customer=True)
         assert seq.rows.tolist() == expected
 
-
     def test_per_customer_ranks_only_the_listed_customers(self, tmp_path):
         ds, table = mixed_table()
         path = tmp_path / "pairs.csv"

@@ -16,6 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -293,6 +294,53 @@ def pair_order(nace, location) -> tuple[np.ndarray, np.ndarray]:
     return order, new_key
 
 
+# Lines of a CSV file parsed or formatted at a time.
+_BLOCK = 4096
+
+
+class _NotPlain(Exception):
+    """The bulk reader does not cover this file; the row reader reads it instead."""
+
+
+def _plain_blocks(path: Path, header: tuple[str, ...], numeric_from: int):
+    """Yield ``(strings, numbers)`` for each block of ``_BLOCK`` lines of a plain CSV.
+
+    ``strings`` holds the first ``numeric_from`` columns, one tuple of
+    unstripped cells each; ``numbers`` is the float64 matrix of the other
+    columns from one ``np.loadtxt`` call, which accepts a subset of the cells
+    ``float`` accepts and gives the same values. A plain file has exactly the
+    given header, LF or CRLF line ends (the latter is what ``csv.writer``
+    writes), no quote, NUL, bare CR or blank line, and the header's field
+    count on every line; for any other file this raises _NotPlain.
+    """
+    head = ",".join(header)
+    width = len(header) - numeric_from
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            if fh.readline() not in (head, head + "\n", head + "\r\n"):
+                raise _NotPlain
+            while lines := list(islice(fh, _BLOCK)):
+                text = "".join(lines)
+                if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+                    raise _NotPlain
+                rows = text.replace("\r\n", "\n").split("\n")
+                if text.endswith("\n"):
+                    rows.pop()
+                cells = [row.split(",", numeric_from) for row in rows]
+                if min(map(len, cells)) <= numeric_from:  # also a blank line
+                    raise _NotPlain
+                *strings, tails = zip(*cells)
+                if "" in tails:  # loadtxt would skip the line
+                    raise _NotPlain
+                # comments=None: the default "#" would cut a cell short
+                numbers = np.loadtxt(tails, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+                if numbers.shape != (len(rows), width):
+                    raise _NotPlain
+                yield strings, numbers
+    except ValueError:  # loadtxt rejected a cell, or the file is not UTF-8
+        raise _NotPlain from None
+
+
 def load_customers(path) -> CustomerDataset:
     """Parse a customer CSV (schema: id,nace,location,contracted_kw,m01..m12).
 
@@ -300,8 +348,53 @@ def load_customers(path) -> CustomerDataset:
     malformed or negative numerics, or monthly demands whose sum overflows
     float64, are rejected with a line-numbered diagnostic. Duplicate ids
     abort the load.
+
+    A plain file whose rows are all valid is parsed in bulk; any other file is
+    read row by row, which gives the same values, notes and errors.
     """
     path = Path(path)
+    try:
+        return _load_plain_customers(path)
+    except _NotPlain:
+        return _read_customer_rows(path)
+
+
+def _load_plain_customers(path: Path) -> CustomerDataset:
+    """The dataset of a plain customer CSV; raises _NotPlain for a row the row reader would reject."""
+    ids: list[str] = []
+    naces: list[str] = []
+    locations: list[str] = []
+    blocks = [np.empty((0, MONTHS + 1))]
+    for (cid, nace, location), numbers in _plain_blocks(path, CUSTOMER_CSV_HEADER, 3):
+        ids += map(str.strip, cid)
+        naces += map(str.strip, nace)
+        locations += map(str.strip, location)
+        blocks.append(numbers)
+    contracted = np.concatenate([block[:, 0] for block in blocks])
+    raw = np.concatenate([block[:, 1:] for block in blocks])
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = raw.sum(axis=1)
+    valid = (
+        np.isfinite(contracted).all() and (contracted >= 0).all()
+        and np.isfinite(totals).all() and (raw >= 0).all()
+    )
+    if not valid or "" in ids or len(set(ids)) != len(ids):
+        raise _NotPlain
+    return CustomerDataset(
+        ids=tuple(ids),
+        nace=tuple(naces),
+        location=tuple(locations),
+        contracted_kw=contracted,
+        raw_demand=raw,
+        diagnostics=tuple(
+            f"line {i + 2}: customer {ids[i]!r} has zero annual demand; excluded from profiling"
+            for i in np.flatnonzero(totals == 0.0).tolist()
+        ),
+    )
+
+
+def _read_customer_rows(path: Path) -> CustomerDataset:
+    """Read a customer CSV row by row; this reads every file the bulk path does not."""
     ids: list[str] = []
     naces: list[str] = []
     locations: list[str] = []
@@ -379,8 +472,12 @@ def save_customers(dataset: CustomerDataset, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CUSTOMER_CSV_HEADER)
-        for i, cid in enumerate(dataset.ids):
-            writer.writerow(
-                [cid, dataset.nace[i], dataset.location[i], format_float(dataset.contracted_kw[i])]
-                + [format_float(v) for v in dataset.raw_demand[i]]
+        for lo in range(0, len(dataset), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            writer.writerows(
+                [cid, nace, location, format_float(kw)] + list(map(format_float, monthly))
+                for cid, nace, location, kw, monthly in zip(
+                    dataset.ids[block], dataset.nace[block], dataset.location[block],
+                    dataset.contracted_kw[block].tolist(), dataset.raw_demand[block].tolist(),
+                )
             )

@@ -33,6 +33,9 @@ from retail_profiler.model import (
     PairGroups,
     PairKey,
     SchemaError,
+    _BLOCK,
+    _NotPlain,
+    _plain_blocks,
     format_float,
     pair_order,
 )
@@ -47,6 +50,9 @@ PAIR_TABLE_HEADER = (
     "e_k",
     "E_k",
 ) + tuple(f"p{j:02d}" for j in range(1, MONTHS + 1))
+
+# The largest pair a pair table may list: `stats` writes one row per size up to it.
+MAX_PAIR_SIZE = 10**6
 
 MATRIX_CSV_HEADER = ("province", "division", "customers", "E")
 
@@ -388,10 +394,6 @@ def load_mapping(path, header: tuple[str, str]) -> dict[str, str]:
 # -- CSV round trip ----------------------------------------------------------
 
 
-# Rows of pairs.csv formatted or parsed at a time.
-_BLOCK = 4096
-
-
 def write_pair_table(table: PairTable, path) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -421,11 +423,51 @@ def read_pair_table(path, dataset: CustomerDataset | None = None) -> PairTable:
 
     The CSV schema intentionally omits member ids; when a dataset is supplied
     the members are re-derived by grouping it on (nace, location) and checked
-    against the stored cardinality. Rows are parsed in blocks into float64
-    arrays and checked all at once; the error raised is that of the first
-    failing line. The table comes back in (nace, location) order.
+    against the stored cardinality. The rows are checked all at once, and the
+    error raised is that of the first failing line. The table comes back in
+    (nace, location) order.
+
+    A plain file without empty KPI cells is parsed in bulk; any other file is
+    read row by row, which gives the same table and errors.
     """
     path = Path(path)
+    try:
+        blocks = _plain_pair_blocks(path)
+    except _NotPlain:
+        return _read_pair_rows(path, dataset)
+    return _checked_table(path, blocks, dataset)
+
+
+def _plain_pair_blocks(path: Path) -> list[tuple]:
+    """The blocks of a plain pair table, in the layout :func:`_parse_block` gives."""
+    blocks: list[tuple] = []
+    _parse_block([], [], path, blocks)  # an empty table still has columns
+    line = 2
+    for (nace, location, n_k), values in _plain_blocks(path, PAIR_TABLE_HEADER, 3):
+        try:
+            n_k = np.fromiter(map(int, n_k), dtype=np.int64, count=len(n_k))
+        except (ValueError, OverflowError):
+            raise _NotPlain from None
+        lines = np.arange(line, line + n_k.size)
+        line += n_k.size
+        blocks.append((
+            lines,
+            np.array([cell.strip() for cell in nace], dtype=object),
+            np.array([cell.strip() for cell in location], dtype=object),
+            n_k,
+            values,
+            np.zeros((n_k.size, 3), dtype=bool),
+        ))
+    return blocks
+
+
+def _read_pair_rows(path: Path, dataset: CustomerDataset | None) -> PairTable:
+    """Read a pair table row by row; this reads every file the bulk path does not.
+
+    Blocks of ``_BLOCK`` rows are parsed into float64 arrays. The rows before
+    a malformed row are checked first, so the error raised is that of the
+    first failing line.
+    """
     blocks: list[tuple] = []
     rows: list[list[str]] = []
     lines: list[int] = []
@@ -501,11 +543,12 @@ def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) ->
 
     finite = np.isfinite(profiles).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        off_mean = finite & (np.abs(profiles.mean(axis=1) - 1.0) > MEAN_TOLERANCE)
+        means = profiles.mean(axis=1)
+    off_mean = finite & (np.abs(means - 1.0) > MEAN_TOLERANCE)
     # (failing rows, message of row i), in the order the checks apply to one line
     checks = [
         (~finite, lambda i: "normalized profile contains non-finite values"),
-        (off_mean, lambda i: f"normalized profile must have unit mean, got {profiles[i].mean()!r}"),
+        (off_mean, lambda i: f"normalized profile must have unit mean, got {means[i]!r}"),
     ]
     if dataset is not None:
         groups = dataset.pair_groups
@@ -518,6 +561,7 @@ def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) ->
             lambda i: f"pair {key(i)} has {sizes[i]} customers in the data, but the table says n_k={n_k[i]}",
         ))
     checks.append((n_k < 1, lambda i: f"n_k must be >= 1, got {n_k[i]}"))
+    checks.append((n_k > MAX_PAIR_SIZE, lambda i: f"n_k must be <= {MAX_PAIR_SIZE}, got {n_k[i]}"))
     for j, name in enumerate(PAIR_TABLE_HEADER[3:8]):
         column = values[:, j]
         if j < 2:

@@ -271,6 +271,17 @@ class TestStats:
         assert "duplicates line 2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_huge_pair_size_is_data_error(self, tmp_path):
+        # stats writes one row per size up to n_k; the bound stops it at the read, and
+        # run_cli's timeout fails the test if it hangs
+        lines = [",".join(pairing.PAIR_TABLE_HEADER), "N,L,1000000000000,1.0,1.0,,,," + ",".join(["1.0"] * 12)]
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("\n".join(lines) + "\n")
+        proc = run_cli("stats", "--pairs", str(pairs), "--out", str(tmp_path / "s"))
+        assert proc.returncode == 2
+        assert "line 2: n_k must be <= 1000000, got 1000000000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestMatrix:
     def test_long_form_schema_with_empty_cells(self, workspace, tmp_path):

@@ -521,6 +521,7 @@ class TestCsvRoundTrip:
         [
             ("n_k", "0", "n_k must be >= 1, got 0"),
             ("n_k", "-3", "n_k must be >= 1, got -3"),
+            ("n_k", "1000001", "n_k must be <= 1000000, got 1000001"),
             ("avg_contracted_kw", "nan", "avg_contracted_kw must be finite and >= 0, got nan"),
             ("avg_contracted_kw", "-1.5", "avg_contracted_kw must be finite and >= 0, got -1.5"),
             ("avg_demand_kwh", "inf", "avg_demand_kwh must be finite and >= 0, got inf"),

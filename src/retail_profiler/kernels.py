@@ -13,6 +13,9 @@ BACKEND = "numpy"
 
 _CHUNK = 1 << 15
 
+_TINY = np.finfo(np.float64).tiny
+_RESCALE = 600  # 2**600 lifts any subnormal into the normal range, exactly
+
 
 def _as_rows(raw) -> np.ndarray:
     arr = np.ascontiguousarray(raw, dtype=np.float64)
@@ -21,6 +24,29 @@ def _as_rows(raw) -> np.ndarray:
     if arr.shape[0] and not np.all(arr.sum(axis=1) > 0.0):
         raise ValueError("every row must have positive total demand")
     return arr
+
+
+def unit_mean_rows(
+    rows: np.ndarray, means: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Each row of ``rows`` (positive sums) divided by its mean ``means``.
+
+    A row whose mean is below the smallest normal float64 (a subnormal, or 0
+    after rounding) is scaled by 2**600 first. The scaling is exact, so the
+    row keeps its whole shape; every other row is divided as it stands.
+    ``out`` may be ``rows`` itself.
+    """
+    if means is None:
+        means = rows.mean(axis=1)
+    small = np.flatnonzero(means < _TINY)
+    if small.size:
+        scaled = np.ldexp(rows[small], _RESCALE)
+        means = means.copy()
+        means[small] = scaled.mean(axis=1)
+    out = np.divide(rows, means[:, None], out=out)
+    if small.size:
+        out[small] = scaled / means[small, None]
+    return out
 
 
 def accumulate_distance_curve(raw, target) -> np.ndarray:
@@ -50,7 +76,7 @@ def accumulate_distance_curve(raw, target) -> np.ndarray:
             step = lo + int(finite.argmin()) + 1
             raise OverflowError(f"running demand sum overflows float64 at step {step}")
         # the rest works in place on the chunk buffer: no chunk-sized temporaries
-        sums /= means[:, None]
+        unit_mean_rows(sums, means, out=sums)
         sums -= t
         np.square(sums, out=sums)
         np.sqrt(sums.mean(axis=1), out=out[lo:hi])
@@ -76,7 +102,6 @@ def normalized_rmsd(raw, target) -> np.ndarray:
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         block = arr[lo:hi]
-        means = block.mean(axis=1)
         goal = t[lo:hi] if per_row else t
-        np.sqrt(np.mean((block / means[:, None] - goal) ** 2, axis=1), out=out[lo:hi])
+        np.sqrt(np.mean((unit_mean_rows(block) - goal) ** 2, axis=1), out=out[lo:hi])
     return out

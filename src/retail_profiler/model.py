@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from retail_profiler import kernels
+
 MONTHS = 12
 MONTH_COLUMNS = tuple(f"m{j:02d}" for j in range(1, MONTHS + 1))
 CUSTOMER_CSV_HEADER = ("id", "nace", "location", "contracted_kw") + MONTH_COLUMNS
@@ -103,7 +105,8 @@ def normalize_profile(raw) -> NormalizedProfile:
     """Divide a 12-month raw demand by its arithmetic mean.
 
     Raises ZeroDemandError for an all-zero profile: such a customer has no
-    shape and is excluded from every KPI computation.
+    shape and is excluded from every KPI computation. Any positive total has
+    a shape, even one whose mean is subnormal (see ``kernels.unit_mean_rows``).
     """
     arr = np.asarray(raw, dtype=np.float64)
     if arr.shape != (MONTHS,):
@@ -112,10 +115,9 @@ def normalize_profile(raw) -> NormalizedProfile:
         raise ValueError("raw demand contains non-finite values")
     if np.any(arr < 0):
         raise ValueError("raw demand contains negative values")
-    mean = arr.mean()
-    if mean <= 0.0:
+    if arr.sum() <= 0.0:
         raise ZeroDemandError("cannot normalize an all-zero demand profile")
-    return NormalizedProfile(arr / mean)
+    return NormalizedProfile(kernels.unit_mean_rows(arr[None])[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from retail_profiler import kernels
 from retail_profiler.metrics import (
     DegenerateReferenceError,
     eid,
@@ -125,7 +126,8 @@ def build_pairs(dataset: CustomerDataset) -> PairTable:
     counts = np.diff(groups.offsets)
     raw = dataset.raw_demand[groups.rows]
     member_means = raw.mean(axis=1)
-    profiles = np.add.reduceat(raw / member_means[:, None], starts, axis=0) / counts[:, None]
+    shapes = kernels.unit_mean_rows(raw, member_means)
+    profiles = np.add.reduceat(shapes, starts, axis=0) / counts[:, None]
     profiles /= profiles.mean(axis=1)[:, None]
     return PairTable(
         nace=groups.nace,

@@ -176,6 +176,22 @@ class TestPairs:
         d_star = metrics.global_distance(dataset, targets.constant_resolver(targets.flat_target()))
         assert f"d(*) = {d_star!r}\n" in out
 
+    def test_subnormal_mean_customer_is_paired(self, tmp_path):
+        path = tmp_path / "c.csv"
+        tiny = [0.0] * 11 + [5e-324]
+        write_customer_csv(
+            path,
+            [(f"C{i}", "A", f"L{i % 3}", 1.0, offset_demand(100, 5 + i)) for i in range(20)]
+            + [("T", "Z", "L0", 1.0, tiny)],
+        )
+        result = run_cli("pairs", "--customers", str(path), "--target", "flat", "--out", str(tmp_path / "o"))
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+        with (tmp_path / "o" / "pairs.csv").open() as fh:
+            row = next(r for r in csv.DictReader(fh) if r["nace"] == "Z")
+        expected = metrics.profile_distance(normalize_profile(tiny), targets.flat_target())
+        assert float(row["d_k"]) == expected
+
     def test_singleton_dataset_n_k_column(self, tmp_path):
         path = tmp_path / "c.csv"
         write_customer_csv(

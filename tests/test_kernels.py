@@ -101,3 +101,23 @@ class TestDispatch:
     def test_empty_input(self):
         out = kernels.accumulate_distance_curve(np.empty((0, 12)), np.ones(12))
         assert out.size == 0
+
+    def test_subnormal_mean_rows_score_like_their_scaled_copy(self, sample):
+        raw, target = sample
+        tiny = raw[:4].copy()
+        tiny[:, :11] = 0.0
+        tiny[:, 11] = [5e-324, 1e-320, 2.2250738585e-313, 1e-309]
+        tiny[2, 10] = 1e-313
+        scaled = np.ldexp(tiny, 600)
+        rows = np.vstack([tiny, raw[4:8]])
+        assert np.array_equal(
+            kernels.normalized_rmsd(rows, target)[:4], kernels.normalized_rmsd(scaled, target)
+        )
+        # the other rows keep their bytes
+        assert np.array_equal(
+            kernels.normalized_rmsd(rows, target)[4:], kernels.normalized_rmsd(raw[4:8], target)
+        )
+        # a subnormal row first in the sequence gives a finite first step
+        curve = kernels.accumulate_distance_curve(rows, target)
+        assert curve[0] == kernels.normalized_rmsd(scaled[:1], target)[0]
+        assert np.all(np.isfinite(curve))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from retail_profiler.model import (
     DuplicateIdError,
@@ -48,6 +48,9 @@ class TestNormalize:
 
     @given(positive_demands, st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance_property(self, raw, k):
+        # k * v below the smallest normal float is rounded to the subnormal
+        # grid or to 0, so the scaled row would not be k times this one
+        assume(all(v == 0.0 or k * v >= np.finfo(np.float64).tiny for v in raw))
         a = normalize_profile(raw).values
         b = normalize_profile([k * v for v in raw]).values
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
@@ -55,6 +58,12 @@ class TestNormalize:
     @given(positive_demands)
     def test_unit_mean_property(self, raw):
         assert abs(normalize_profile(raw).values.mean() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("tiny", [5e-324, 2.2250738585e-313, 2.2250738585072e-309])
+    def test_subnormal_mean_keeps_its_shape(self, tiny):
+        raw = [0.0] * 10 + [tiny, 3 * tiny]
+        expected = [0.0] * 10 + [3.0, 9.0]
+        assert np.allclose(normalize_profile(raw).values, expected, rtol=1e-15, atol=0)
 
 
 class TestProfileTypes:

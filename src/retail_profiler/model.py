@@ -141,6 +141,19 @@ class PairGroups:
         return self.rows[shift + np.arange(shift.size)]
 
 
+def _annual_totals(contracted: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Each row's demand sum; ValueError unless every value and sum is finite and >= 0."""
+    if raw.size and (not np.all(np.isfinite(raw)) or np.any(raw < 0)):
+        raise ValueError("raw demands must be finite and non-negative")
+    with np.errstate(over="ignore"):
+        totals = raw.sum(axis=1)
+    if not np.all(np.isfinite(totals)):
+        raise ValueError("a customer's monthly demands sum past the float64 range")
+    if contracted.size and (not np.all(np.isfinite(contracted)) or np.any(contracted < 0)):
+        raise ValueError("contracted power must be finite and non-negative")
+    return totals
+
+
 @dataclass(frozen=True, eq=False)
 class CustomerDataset:
     """Immutable column-wise customer table.
@@ -167,14 +180,7 @@ class CustomerDataset:
         raw = np.ascontiguousarray(self.raw_demand, dtype=np.float64)
         if contracted.shape != (n,) or raw.shape != (n, MONTHS):
             raise ValueError("array shapes disagree with row count")
-        if n and (not np.all(np.isfinite(raw)) or np.any(raw < 0)):
-            raise ValueError("raw demands must be finite and non-negative")
-        with np.errstate(over="ignore"):
-            totals = raw.sum(axis=1)
-        if not np.all(np.isfinite(totals)):
-            raise ValueError("a customer's monthly demands sum past the float64 range")
-        if n and (not np.all(np.isfinite(contracted)) or np.any(contracted < 0)):
-            raise ValueError("contracted power must be finite and non-negative")
+        _annual_totals(contracted, raw)
         if len(set(self.ids)) != n:
             seen: set[str] = set()
             for cid in self.ids:
@@ -362,37 +368,42 @@ def load_customers(path) -> CustomerDataset:
 
 
 def _load_plain_customers(path: Path) -> CustomerDataset:
-    """The dataset of a plain customer CSV; raises _NotPlain for a row the row reader would reject."""
+    """The dataset of a plain customer CSV; raises _NotPlain for a row the row reader would reject.
+
+    The checks of one row run on each block, so such a row ends the bulk
+    parse at its block; duplicate ids are found when the dataset is built.
+    """
     ids: list[str] = []
     naces: list[str] = []
     locations: list[str] = []
     blocks = [np.empty((0, MONTHS + 1))]
+    totals = [np.empty(0)]
     for (cid, nace, location), numbers in _plain_blocks(path, CUSTOMER_CSV_HEADER, 3):
-        ids += map(str.strip, cid)
+        cid = [cell.strip() for cell in cid]
+        if "" in cid:
+            raise _NotPlain
+        try:
+            totals.append(_annual_totals(numbers[:, 0], numbers[:, 1:]))
+        except ValueError:
+            raise _NotPlain from None
+        ids += cid
         naces += map(str.strip, nace)
         locations += map(str.strip, location)
         blocks.append(numbers)
-    contracted = np.concatenate([block[:, 0] for block in blocks])
-    raw = np.concatenate([block[:, 1:] for block in blocks])
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = raw.sum(axis=1)
-    valid = (
-        np.isfinite(contracted).all() and (contracted >= 0).all()
-        and np.isfinite(totals).all() and (raw >= 0).all()
-    )
-    if not valid or "" in ids or len(set(ids)) != len(ids):
-        raise _NotPlain
-    return CustomerDataset(
-        ids=tuple(ids),
-        nace=tuple(naces),
-        location=tuple(locations),
-        contracted_kw=contracted,
-        raw_demand=raw,
-        diagnostics=tuple(
-            f"line {i + 2}: customer {ids[i]!r} has zero annual demand; excluded from profiling"
-            for i in np.flatnonzero(totals == 0.0).tolist()
-        ),
-    )
+    try:
+        return CustomerDataset(
+            ids=tuple(ids),
+            nace=tuple(naces),
+            location=tuple(locations),
+            contracted_kw=np.concatenate([block[:, 0] for block in blocks]),
+            raw_demand=np.concatenate([block[:, 1:] for block in blocks]),
+            diagnostics=tuple(
+                f"line {i + 2}: customer {ids[i]!r} has zero annual demand; excluded from profiling"
+                for i in np.flatnonzero(np.concatenate(totals) == 0.0).tolist()
+            ),
+        )
+    except DuplicateIdError:
+        raise _NotPlain from None
 
 
 def _read_customer_rows(path: Path) -> CustomerDataset:

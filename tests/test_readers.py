@@ -124,6 +124,24 @@ def test_customer_readers_agree_on_invalid_utf8(tmp_path):
     assert outcome(load_customers, path) == outcome(model._read_customer_rows, path)
 
 
+@pytest.mark.parametrize("bad", [customer("  "), customer("N", months=("-1",) + ("1",) * 11)], ids=["empty-id", "negative"])
+def test_bad_row_ends_the_bulk_parse_at_its_block(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(model, "_BLOCK", 2)
+    blocks = []
+    plain_blocks = model._plain_blocks
+
+    def counted(*args):
+        for block in plain_blocks(*args):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(model, "_plain_blocks", counted)
+    path = tmp_path / "customers.csv"
+    path.write_text(customer_file(ROWS[0], bad, *(customer(f"R{i}") for i in range(6))))
+    assert not is_plain(model._load_plain_customers, path)
+    assert len(blocks) == 1
+
+
 def test_bulk_zero_demand_notes_keep_line_numbers(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "_BLOCK", 2)
     path = tmp_path / "customers.csv"

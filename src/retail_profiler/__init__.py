@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from retail_profiler.model import (
     CustomerDataset,
     DataError,
-    NormalizedProfile,
     PairKey,
     TargetProfile,
     load_customers,
@@ -25,7 +24,6 @@ from retail_profiler.targets import (
 )
 from retail_profiler.metrics import (
     eid,
-    enhancement_metric,
     global_distance,
     median_distance,
     profile_distance,
@@ -37,7 +35,6 @@ from retail_profiler.pairing import (
     attach_kpis,
     build_pairs,
     identification_stats,
-    slice_row,
 )
 from retail_profiler.simulate import (
     accumulate_curve,
@@ -54,7 +51,6 @@ __all__ = [
     "AggregateDemand",
     "CustomerDataset",
     "DataError",
-    "NormalizedProfile",
     "PairKey",
     "PairTable",
     "SolarTable",
@@ -70,7 +66,6 @@ __all__ = [
     "custom_target",
     "default_solar_target",
     "eid",
-    "enhancement_metric",
     "flat_target",
     "generate",
     "global_distance",
@@ -85,7 +80,6 @@ __all__ = [
     "reduction",
     "reduction_curve",
     "save_customers",
-    "slice_row",
     "solar_resolver",
     "solar_target",
 ]

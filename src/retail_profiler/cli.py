@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -35,6 +36,7 @@ from retail_profiler.pairing import (
     write_pair_table,
 )
 from retail_profiler.simulate import (
+    STRATEGY_LABELS,
     accumulate_curve,
     baseline_band,
     greedy_sequence,
@@ -290,10 +292,9 @@ def cmd_matrix(args) -> int:
 
 def cmd_simulate(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    known = ("eid", "contracted", "demanded", "random")
     for s in strategies:
-        if s not in known:
-            raise DataError(f"unknown strategy {s!r}; pick from {', '.join(known)}")
+        if s not in STRATEGY_LABELS:
+            raise DataError(f"unknown strategy {s!r}; pick from {', '.join(STRATEGY_LABELS)}")
     if not strategies:
         raise DataError("no strategies requested")
 
@@ -464,7 +465,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,9 @@
 
 ``accumulate_distance_curve`` walks an acquisition sequence keeping a running
 monthly sum; ``normalized_rmsd`` scores each row's unit-mean shape against a
-target. Work is chunked so memory stays O(chunk) for arbitrarily many rows.
+target. Both take the demand matrix and the indices of the rows to visit, and
+gather one chunk of those rows at a time into a reused buffer, so memory
+stays O(chunk) for arbitrarily many rows.
 """
 
 from __future__ import annotations
@@ -17,13 +19,28 @@ _TINY = np.finfo(np.float64).tiny
 _RESCALE = 600  # 2**600 lifts any subnormal into the normal range, exactly
 
 
-def _as_rows(raw) -> np.ndarray:
-    arr = np.ascontiguousarray(raw, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d (rows, months) array, got ndim={arr.ndim}")
-    if arr.shape[0] and not np.all(arr.sum(axis=1) > 0.0):
-        raise ValueError("every row must have positive total demand")
-    return arr
+def _chunks(raw: np.ndarray, rows, target: np.ndarray):
+    """Yield ``(lo, hi, raw[rows[lo:hi]])`` for each chunk of ``rows``.
+
+    Every chunk is gathered into the same buffer, so a chunk is valid only
+    until the next one is yielded. Raises ValueError when the target does not
+    fit the row width or a gathered row has no positive total demand, and
+    IndexError when a row index is out of range.
+    """
+    if target.shape != (raw.shape[1],):
+        raise ValueError("target length does not match the row width")
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size and (rows.min() < 0 or rows.max() >= len(raw)):
+        raise IndexError(f"row indices must lie in 0..{len(raw) - 1}")
+    buffer = np.empty((min(rows.size, _CHUNK), raw.shape[1]))
+    for lo in range(0, rows.size, _CHUNK):
+        hi = min(lo + _CHUNK, rows.size)
+        # the indices are checked above, so "clip" clips nothing; unlike the
+        # default "raise", it writes straight into the buffer
+        block = np.take(raw, rows[lo:hi], axis=0, out=buffer[: hi - lo], mode="clip")
+        if not np.all(block.sum(axis=1) > 0.0):
+            raise ValueError("every row must have positive total demand")
+        yield lo, hi, block
 
 
 def unit_mean_rows(
@@ -49,25 +66,21 @@ def unit_mean_rows(
     return out
 
 
-def accumulate_distance_curve(raw, target) -> np.ndarray:
+def accumulate_distance_curve(raw, rows, target) -> np.ndarray:
     """Distance of the running (normalized) row sum to ``target`` after each row.
 
-    ``raw[i]`` is appended to a running monthly sum at step i; the sum is
-    normalized to unit mean and its RMSD to the target recorded. Every prefix
-    must have positive total demand, which holds whenever each row does.
-    Raises OverflowError when the running total leaves the float64 range.
+    ``raw[rows[i]]`` is appended to a running monthly sum at step i; the sum
+    is normalized to unit mean and its RMSD to the target recorded. Every
+    prefix must have positive total demand, which holds whenever each row
+    does. Raises OverflowError when the running total leaves the float64 range.
     """
-    arr = _as_rows(raw)
-    t = np.ascontiguousarray(target, dtype=np.float64)
-    if t.shape != (arr.shape[1],):
-        raise ValueError("target length does not match the row width")
-    n, m = arr.shape
-    out = np.empty(n, dtype=np.float64)
-    carry = np.zeros(m, dtype=np.float64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    t = np.asarray(target, dtype=np.float64)
+    out = np.empty(len(rows), dtype=np.float64)
+    carry = np.zeros(t.size, dtype=np.float64)
+    for lo, hi, block in _chunks(raw, rows, t):
+        # the rest works in place on the chunk buffer: no chunk-sized temporaries
         with np.errstate(over="ignore"):  # an overflow shows as a non-finite mean
-            sums = np.cumsum(arr[lo:hi], axis=0)
+            sums = np.cumsum(block, axis=0, out=block)
             sums += carry
             carry = sums[-1].copy()
             means = sums.mean(axis=1)
@@ -75,7 +88,6 @@ def accumulate_distance_curve(raw, target) -> np.ndarray:
         if not finite.all():
             step = lo + int(finite.argmin()) + 1
             raise OverflowError(f"running demand sum overflows float64 at step {step}")
-        # the rest works in place on the chunk buffer: no chunk-sized temporaries
         unit_mean_rows(sums, means, out=sums)
         sums -= t
         np.square(sums, out=sums)
@@ -83,25 +95,10 @@ def accumulate_distance_curve(raw, target) -> np.ndarray:
     return out
 
 
-def normalized_rmsd(raw, target) -> np.ndarray:
-    """Per-row RMSD of the row's unit-mean shape to a target.
-
-    ``target`` is either a single profile, shared by all rows, or one profile
-    per row (same shape as ``raw``).
-    """
-    arr = _as_rows(raw)
-    t = np.ascontiguousarray(target, dtype=np.float64)
-    if t.ndim == 1:
-        if t.shape != (arr.shape[1],):
-            raise ValueError("target length does not match the row width")
-    elif t.shape != arr.shape:
-        raise ValueError(f"target shape {t.shape} matches neither a profile nor the rows")
-    per_row = t.ndim == 2
-    n = arr.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        block = arr[lo:hi]
-        goal = t[lo:hi] if per_row else t
-        np.sqrt(np.mean((unit_mean_rows(block) - goal) ** 2, axis=1), out=out[lo:hi])
+def normalized_rmsd(raw, rows, target) -> np.ndarray:
+    """RMSD of the unit-mean shape of each row ``raw[rows[i]]`` to a target."""
+    t = np.asarray(target, dtype=np.float64)
+    out = np.empty(len(rows), dtype=np.float64)
+    for lo, hi, block in _chunks(raw, rows, t):
+        np.sqrt(np.mean((unit_mean_rows(block) - t) ** 2, axis=1), out=out[lo:hi])
     return out

@@ -18,13 +18,11 @@ from retail_profiler.model import MONTHS, CustomerDataset, DataError, PairKey
 
 __all__ = [
     "DegenerateReferenceError",
-    "difference_vector",
     "profile_distance",
     "median_distance",
     "member_distances",
     "reference_distance",
     "global_distance",
-    "enhancement_metric",
     "eid",
     "eid_values",
     "reduction",
@@ -42,14 +40,9 @@ def _values(profile) -> np.ndarray:
     return arr
 
 
-def difference_vector(profile, target) -> np.ndarray:
-    """Month-wise difference between a demand shape and a target, exactly c - g."""
-    return _values(profile) - _values(target)
-
-
 def profile_distance(profile, target) -> float:
     """Root-mean-square distance between two 12-month shapes."""
-    delta = difference_vector(profile, target)
+    delta = _values(profile) - _values(target)
     return math.sqrt(float(np.mean(delta * delta)))
 
 
@@ -89,7 +82,7 @@ def member_distances(dataset: CustomerDataset, resolver) -> np.ndarray:
     lo = 0
     for (_, target), hi in zip(targets.values(), bounds.tolist()):
         rows = by_target[lo:hi]
-        distances[rows] = kernels.normalized_rmsd(dataset.raw_demand[rows], target.values)
+        distances[rows] = kernels.normalized_rmsd(dataset.raw_demand, rows, target.values)
         lo = hi
     return distances
 
@@ -109,19 +102,6 @@ def global_distance(dataset: CustomerDataset, resolver) -> float:
     at random, and the denominator of every enhancement metric.
     """
     return reference_distance(dataset, member_distances(dataset, resolver))
-
-
-def enhancement_metric(d: float, d_star: float) -> float:
-    """Relative improvement of distance d over the reference d*: 1 - d/d*."""
-    if not (math.isfinite(d) and d >= 0):
-        raise ValueError(f"distance must be finite and >= 0, got {d!r}")
-    if not (math.isfinite(d_star) and d_star >= 0):
-        raise ValueError(f"reference distance must be finite and >= 0, got {d_star!r}")
-    if d_star == 0:
-        raise DegenerateReferenceError(
-            "reference distance is zero; enhancement metrics are undefined"
-        )
-    return 1.0 - d / d_star
 
 
 def eid(e: float) -> float:

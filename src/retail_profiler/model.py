@@ -28,7 +28,7 @@ MONTHS = 12
 MONTH_COLUMNS = tuple(f"m{j:02d}" for j in range(1, MONTHS + 1))
 CUSTOMER_CSV_HEADER = ("id", "nace", "location", "contracted_kw") + MONTH_COLUMNS
 
-# Tolerance on the unit-mean invariant of normalized and target profiles.
+# Tolerance on the unit-mean invariant of target and pair profiles.
 MEAN_TOLERANCE = 1e-9
 
 TARGET_LABELS = ("flat", "solar", "complement", "custom")
@@ -62,30 +62,6 @@ class PairKey(NamedTuple):
     location: str
 
 
-def _profile_array(values, what: str, check_mean: bool = False) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != (MONTHS,):
-        raise ValueError(f"{what} must have exactly {MONTHS} values, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
-    if check_mean and abs(arr.mean() - 1.0) > MEAN_TOLERANCE:
-        raise ValueError(f"{what} must have unit mean, got {arr.mean()!r}")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedProfile:
-    """Dimensionless 12-month demand shape with unit mean."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _profile_array(self.values, "normalized profile", check_mean=True)
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class TargetProfile:
     """Desired 12-month demand shape (unit mean); negatives are permitted."""
@@ -96,13 +72,19 @@ class TargetProfile:
     def __post_init__(self):
         if self.label not in TARGET_LABELS:
             raise ValueError(f"unknown target label {self.label!r}; expected one of {TARGET_LABELS}")
-        object.__setattr__(
-            self, "values", _profile_array(self.values, "target profile", check_mean=True)
-        )
+        arr = np.array(self.values, dtype=np.float64)
+        if arr.shape != (MONTHS,):
+            raise ValueError(f"target profile must have exactly {MONTHS} values, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("target profile contains non-finite values")
+        if abs(arr.mean() - 1.0) > MEAN_TOLERANCE:
+            raise ValueError(f"target profile must have unit mean, got {float(arr.mean())!r}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
 
-def normalize_profile(raw) -> NormalizedProfile:
-    """Divide a 12-month raw demand by its arithmetic mean.
+def normalize_profile(raw) -> np.ndarray:
+    """Divide a 12-month raw demand by its arithmetic mean, as a read-only array.
 
     Raises ZeroDemandError for an all-zero profile: such a customer has no
     shape and is excluded from every KPI computation. Any positive total has
@@ -117,7 +99,9 @@ def normalize_profile(raw) -> NormalizedProfile:
         raise ValueError("raw demand contains negative values")
     if arr.sum() <= 0.0:
         raise ZeroDemandError("cannot normalize an all-zero demand profile")
-    return NormalizedProfile(kernels.unit_mean_rows(arr[None])[0])
+    profile = kernels.unit_mean_rows(arr[None])[0]
+    profile.setflags(write=False)
+    return profile
 
 
 @dataclass(frozen=True, eq=False)

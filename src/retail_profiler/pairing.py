@@ -87,7 +87,6 @@ class PairTable:
     d_star: float | None = None
     member_rows: np.ndarray | None = None
     dataset: CustomerDataset | None = None
-    diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self):
         for column in (self.n_k, self.profiles, self.avg_contracted, self.avg_demand,
@@ -138,7 +137,6 @@ def build_pairs(dataset: CustomerDataset) -> PairTable:
         avg_demand=_pair_means(member_means, starts, counts),
         member_rows=groups.rows,
         dataset=dataset,
-        diagnostics=() if counts.size else ("no pairable customers; pair table is empty",),
     )
 
 
@@ -210,20 +208,8 @@ class IdentificationStats:
     def max_size(self) -> int:
         return max(self.pair_cardinality_histogram, default=0)
 
-    def pairs_leq(self, n: int) -> int:
-        return sum(c for s, c in self.pair_cardinality_histogram.items() if s <= n)
-
-    def customers_leq(self, n: int) -> int:
-        return sum(s * c for s, c in self.pair_cardinality_histogram.items() if s <= n)
-
-    def ratio_leq(self, n: int) -> float:
-        """Share of non-empty pairs containing at most n customers."""
-        if self.nonempty_pair_count == 0:
-            return 0.0
-        return self.pairs_leq(n) / self.nonempty_pair_count
-
     def ratio_table(self) -> list[tuple[int, int, int, float, int]]:
-        """(size, pairs, pairs_leq, ratio_leq, customers_leq) for size 1..max."""
+        """Per size 1..max: (size, its pairs, pairs up to it, their share, their customers)."""
         rows = []
         pairs_cum = 0
         customers_cum = 0
@@ -270,20 +256,6 @@ class IndicatorMatrix:
     values: np.ndarray
     counts: np.ndarray
     diagnostics: tuple[str, ...] = ()
-
-    def row_index(self, province: str) -> int:
-        try:
-            return self.provinces.index(province)
-        except ValueError:
-            raise DataError(f"unknown province: {province!r}") from None
-
-    def cell(self, province: str, division: str) -> tuple[float, int]:
-        i = self.row_index(province)
-        try:
-            j = self.divisions.index(division)
-        except ValueError:
-            raise DataError(f"unknown division: {division!r}") from None
-        return float(self.values[i, j]), int(self.counts[i, j])
 
 
 def aggregate_matrix(
@@ -340,18 +312,6 @@ def aggregate_matrix(
         counts=counts,
         diagnostics=tuple(diagnostics),
     )
-
-
-def slice_row(matrix: IndicatorMatrix, province: str) -> list[tuple[str, float, int]]:
-    """Non-empty cells of one province: (division, indicator, customers), best first."""
-    i = matrix.row_index(province)
-    cells = [
-        (division, float(matrix.values[i, j]), int(matrix.counts[i, j]))
-        for j, division in enumerate(matrix.divisions)
-        if matrix.counts[i, j] > 0
-    ]
-    cells.sort(key=lambda cell: (-cell[1], cell[0]))
-    return cells
 
 
 # -- mappings ---------------------------------------------------------------
@@ -550,7 +510,7 @@ def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) ->
     # (failing rows, message of row i), in the order the checks apply to one line
     checks = [
         (~finite, lambda i: "normalized profile contains non-finite values"),
-        (off_mean, lambda i: f"normalized profile must have unit mean, got {means[i]!r}"),
+        (off_mean, lambda i: f"normalized profile must have unit mean, got {float(means[i])!r}"),
     ]
     if dataset is not None:
         groups = dataset.pair_groups

@@ -198,7 +198,7 @@ def accumulate_curve(seq: AcquisitionSequence, target: TargetProfile) -> Distanc
         bad = dataset.ids[rows[zero.argmax()]]
         raise DataError(f"customer {bad!r} has zero demand and cannot be accumulated")
     try:
-        distances = kernels.accumulate_distance_curve(dataset.raw_demand[rows], target.values)
+        distances = kernels.accumulate_distance_curve(dataset.raw_demand, rows, target.values)
     except OverflowError as exc:
         raise DataError(f"{seq.strategy} sequence: {exc}") from None
     return DistanceCurve(distance=distances, strategy=seq.strategy)

@@ -259,17 +259,16 @@ def generate(config: SynthConfig, target: TargetProfile) -> tuple[CustomerDatase
     pair_keys = [
         PairKey(naces[pair_nace_idx[p]], locations[pair_loc_idx[p]]) for p in range(n_pairs)
     ]
+    planted_rows = np.flatnonzero(cust_planted)
     truth = GroundTruth(
         pair_composition={key: int(size) for key, size in zip(pair_keys, pair_sizes)},
         planted_pairs=frozenset(pair_keys[: planted_sizes.size]),
-        planted_ids=frozenset(ids[i] for i in np.flatnonzero(cust_planted)),
+        planted_ids=frozenset(ids[i] for i in planted_rows),
     )
 
     if n_planted:
         bound = planted_distance_bound(config.noise_sigma, target)
-        worst = float(
-            kernels.normalized_rmsd(raw[cust_planted], target.values).max()
-        )
+        worst = float(kernels.normalized_rmsd(dataset.raw_demand, planted_rows, target.values).max())
         if worst > bound + 1e-12:  # small allowance for float rounding
             raise RuntimeError(
                 f"planted distance {worst} exceeds the documented bound {bound}"

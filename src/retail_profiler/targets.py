@@ -85,10 +85,6 @@ class SolarTable:
             checked[province] = arr
         object.__setattr__(self, "rows", checked)
 
-    @property
-    def provinces(self) -> tuple[str, ...]:
-        return tuple(self.rows)
-
     def row(self, province: str) -> np.ndarray:
         try:
             return self.rows[province]
@@ -163,12 +159,6 @@ def default_solar_row(amplitude: float = DEFAULT_SOLAR_AMPLITUDE) -> np.ndarray:
 def default_solar_target(amplitude: float = DEFAULT_SOLAR_AMPLITUDE) -> TargetProfile:
     row = default_solar_row(amplitude)
     return TargetProfile(row / row.mean(), "solar")
-
-
-def default_solar_table(provinces, amplitude: float = DEFAULT_SOLAR_AMPLITUDE) -> SolarTable:
-    """A SolarTable giving every listed province the built-in default shape."""
-    row = default_solar_row(amplitude)
-    return SolarTable({province: row for province in provinces})
 
 
 def constant_resolver(target: TargetProfile) -> TargetResolver:

@@ -114,6 +114,21 @@ class TestExitCodes:
         assert (name or spec) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "cid",
+        [b"B\xff", b'"' + b"x" * 131_073 + b'"'],
+        ids=["not-utf8", "cell-over-csv-field-limit"],
+    )
+    def test_unreadable_customer_file_is_two(self, tmp_path, cid):
+        path = tmp_path / "c.csv"
+        write_customer_csv(path, [("A", "X", "L1", 1.0, flat_demand())])
+        row = b",".join([cid, b"X", b"L1", b"1.0"] + [b"100.0"] * 12)
+        path.write_bytes(path.read_bytes() + row + b"\r\n")
+        proc = run_cli("pairs", "--customers", str(path), "--target", "flat", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -273,7 +288,7 @@ class TestStats:
             rows = list(csv.DictReader(fh))
         assert len(rows) == stats.max_size
         last = rows[-1]
-        assert int(last["customers_leq"]) == stats.customers_leq(stats.max_size)
+        assert int(last["customers_leq"]) == stats.customers_in_sets_leq[stats.max_size]
         assert float(last["pairs_leq_ratio"]) == 1.0
 
 

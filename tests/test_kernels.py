@@ -1,11 +1,15 @@
 """Naive-oracle and validation checks for the hot-loop kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from retail_profiler import kernels
+from retail_profiler.model import CustomerDataset
+from retail_profiler.simulate import AcquisitionSequence, accumulate_curve
+from retail_profiler.targets import flat_target
 
 
 def naive_accumulate(raw, target):
@@ -20,11 +24,11 @@ def naive_accumulate(raw, target):
     return np.array(out)
 
 
-def naive_rmsd(raw, targets):
+def naive_rmsd(raw, target):
     out = []
-    for row, goal in zip(raw, targets):
+    for row in raw:
         mean = sum(row) / len(row)
-        out.append(math.sqrt(sum((v / mean - g) ** 2 for v, g in zip(row, goal)) / len(row)))
+        out.append(math.sqrt(sum((v / mean - g) ** 2 for v, g in zip(row, target)) / len(row)))
     return np.array(out)
 
 
@@ -37,41 +41,98 @@ def sample():
     return np.ascontiguousarray(raw), np.ascontiguousarray(target)
 
 
+@pytest.fixture(scope="module")
+def shuffled_rows(sample):
+    """Every row once in a shuffled order, then some rows again."""
+    raw, _ = sample
+    rng = np.random.default_rng(14)
+    return np.concatenate([rng.permutation(len(raw)), rng.integers(0, len(raw), 40)])
+
+
+def every_row(raw):
+    return np.arange(len(raw))
+
+
 def test_accumulate_matches_naive_oracle(sample):
     raw, target = sample
-    out = kernels.accumulate_distance_curve(raw, target)
+    out = kernels.accumulate_distance_curve(raw, every_row(raw), target)
     assert np.allclose(out, naive_accumulate(raw.tolist(), target.tolist()), rtol=1e-12, atol=1e-14)
 
 
 def test_rmsd_single_matches_naive_oracle(sample):
     raw, target = sample
-    out = kernels.normalized_rmsd(raw, target)
-    expected = naive_rmsd(raw.tolist(), [target.tolist()] * len(raw))
-    assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
+    out = kernels.normalized_rmsd(raw, every_row(raw), target)
+    assert np.allclose(out, naive_rmsd(raw.tolist(), target.tolist()), rtol=1e-12, atol=1e-14)
 
 
-def test_rmsd_rows_matches_naive_oracle(sample):
+def test_rmsd_rows_matches_naive_oracle(sample, shuffled_rows):
     raw, target = sample
-    rng = np.random.default_rng(12)
-    targets = np.ascontiguousarray(rng.uniform(0.5, 1.5, size=raw.shape))
-    out = kernels.normalized_rmsd(raw, targets)
-    assert np.allclose(out, naive_rmsd(raw.tolist(), targets.tolist()), rtol=1e-12, atol=1e-14)
+    out = kernels.normalized_rmsd(raw, shuffled_rows, target)
+    expected = naive_rmsd(raw[shuffled_rows].tolist(), target.tolist())
+    assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_numpy_accumulate_carries_across_chunks(sample, monkeypatch):
     raw, target = sample
     monkeypatch.setattr(kernels, "_CHUNK", 7)
-    out = kernels.accumulate_distance_curve(raw, target)
+    out = kernels.accumulate_distance_curve(raw, every_row(raw), target)
     assert np.allclose(out, naive_accumulate(raw.tolist(), target.tolist()), rtol=1e-12, atol=1e-14)
 
 
-def test_rmsd_rows_slices_targets_per_chunk(sample, monkeypatch):
-    raw, _ = sample
-    rng = np.random.default_rng(13)
-    targets = np.ascontiguousarray(rng.uniform(0.5, 1.5, size=raw.shape))
+def test_accumulate_gathers_shuffled_rows_per_chunk(sample, shuffled_rows, monkeypatch):
+    raw, target = sample
     monkeypatch.setattr(kernels, "_CHUNK", 7)
-    out = kernels.normalized_rmsd(raw, targets)
-    assert np.allclose(out, naive_rmsd(raw.tolist(), targets.tolist()), rtol=1e-12, atol=1e-14)
+    out = kernels.accumulate_distance_curve(raw, shuffled_rows, target)
+    expected = naive_accumulate(raw[shuffled_rows].tolist(), target.tolist())
+    assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_rmsd_gathers_shuffled_rows_per_chunk(sample, shuffled_rows, monkeypatch):
+    raw, target = sample
+    monkeypatch.setattr(kernels, "_CHUNK", 7)
+    out = kernels.normalized_rmsd(raw, shuffled_rows, target)
+    expected = naive_rmsd(raw[shuffled_rows].tolist(), target.tolist())
+    assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_gathered_rows_give_the_bytes_of_a_copy(sample, shuffled_rows, monkeypatch):
+    raw, target = sample
+    monkeypatch.setattr(kernels, "_CHUNK", 7)
+    copy = raw[shuffled_rows]
+    for kernel in (kernels.accumulate_distance_curve, kernels.normalized_rmsd):
+        assert kernel(raw, shuffled_rows, target).tobytes() == kernel(copy, every_row(copy), target).tobytes()
+
+
+@pytest.mark.parametrize("kernel", [kernels.accumulate_distance_curve, kernels.normalized_rmsd])
+def test_zero_row_in_a_later_chunk_rejected(sample, monkeypatch, kernel):
+    raw, target = sample
+    raw = raw.copy()
+    raw[20] = 0.0
+    monkeypatch.setattr(kernels, "_CHUNK", 7)
+    with pytest.raises(ValueError, match="every row must have positive total demand"):
+        kernel(raw, every_row(raw), target)
+
+
+def test_accumulate_curve_holds_no_copy_of_the_sequence_rows():
+    n = 200_000
+    rng = np.random.default_rng(15)
+    dataset = CustomerDataset(
+        ids=tuple(map(str, range(n))),
+        nace=("X",) * n,
+        location=("L",) * n,
+        contracted_kw=np.ones(n),
+        raw_demand=rng.uniform(0.5, 2.0, size=(n, 12)),
+    )
+    seq = AcquisitionSequence(rows=rng.permutation(n), dataset=dataset, strategy="random", seed=15)
+    target = flat_target()
+    accumulate_curve(seq, target)  # warm the dataset's cached masks
+    tracemalloc.start()
+    try:
+        accumulate_curve(seq, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dataset.raw_demand[seq.rows].nbytes
 
 
 class TestDispatch:
@@ -82,24 +143,22 @@ class TestDispatch:
         raw = np.ones((3, 12))
         raw[1] = 0.0
         with pytest.raises(ValueError, match="positive total demand"):
-            kernels.accumulate_distance_curve(raw, np.ones(12))
+            kernels.accumulate_distance_curve(raw, every_row(raw), np.ones(12))
 
     def test_wrapper_shape_errors(self):
         with pytest.raises(ValueError):
-            kernels.accumulate_distance_curve(np.ones((3, 12)), np.ones(11))
+            kernels.accumulate_distance_curve(np.ones((3, 12)), every_row(range(3)), np.ones(11))
         with pytest.raises(ValueError):
-            kernels.normalized_rmsd(np.ones((3, 12)), np.ones((4, 12)))
+            kernels.normalized_rmsd(np.ones((3, 12)), every_row(range(3)), np.ones((4, 12)))
 
-    def test_rmsd_single_and_rows_consistent(self):
-        rng = np.random.default_rng(4)
-        raw = rng.uniform(0.5, 10, size=(50, 12))
-        target = rng.uniform(0.5, 1.5, 12)
-        single = kernels.normalized_rmsd(raw, target)
-        rows = kernels.normalized_rmsd(raw, np.tile(target, (50, 1)))
-        assert np.allclose(single, rows, rtol=1e-15, atol=0)
+    @pytest.mark.parametrize("rows", [[0, -1], [0, 3]], ids=["negative", "past-the-end"])
+    def test_out_of_range_rows_rejected(self, rows):
+        for kernel in (kernels.accumulate_distance_curve, kernels.normalized_rmsd):
+            with pytest.raises(IndexError, match=r"row indices must lie in 0\.\.2"):
+                kernel(np.ones((3, 12)), rows, np.ones(12))
 
     def test_empty_input(self):
-        out = kernels.accumulate_distance_curve(np.empty((0, 12)), np.ones(12))
+        out = kernels.accumulate_distance_curve(np.empty((0, 12)), every_row(()), np.ones(12))
         assert out.size == 0
 
     def test_subnormal_mean_rows_score_like_their_scaled_copy(self, sample):
@@ -110,14 +169,17 @@ class TestDispatch:
         tiny[2, 10] = 1e-313
         scaled = np.ldexp(tiny, 600)
         rows = np.vstack([tiny, raw[4:8]])
+        everything = every_row(rows)
         assert np.array_equal(
-            kernels.normalized_rmsd(rows, target)[:4], kernels.normalized_rmsd(scaled, target)
+            kernels.normalized_rmsd(rows, everything[:4], target),
+            kernels.normalized_rmsd(scaled, every_row(scaled), target),
         )
         # the other rows keep their bytes
         assert np.array_equal(
-            kernels.normalized_rmsd(rows, target)[4:], kernels.normalized_rmsd(raw[4:8], target)
+            kernels.normalized_rmsd(rows, everything[4:], target),
+            kernels.normalized_rmsd(raw, np.arange(4, 8), target),
         )
         # a subnormal row first in the sequence gives a finite first step
-        curve = kernels.accumulate_distance_curve(rows, target)
-        assert curve[0] == kernels.normalized_rmsd(scaled[:1], target)[0]
+        curve = kernels.accumulate_distance_curve(rows, everything, target)
+        assert curve[0] == kernels.normalized_rmsd(scaled, [0], target)[0]
         assert np.all(np.isfinite(curve))

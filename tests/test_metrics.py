@@ -9,13 +9,13 @@ from retail_profiler.metrics import (
     DegenerateReferenceError,
     eid,
     eid_values,
-    enhancement_metric,
     global_distance,
     median_distance,
     profile_distance,
     reduction,
 )
 from retail_profiler.model import DataError, normalize_profile
+from retail_profiler.pairing import attach_kpis, build_pairs
 from retail_profiler.targets import constant_resolver, custom_target, flat_target
 from tests.conftest import flat_demand, make_dataset, offset_demand
 
@@ -31,17 +31,6 @@ def brute_force_median(values):
     if n % 2:
         return ordered[n // 2]
     return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
-
-
-class TestDifferenceVector:
-    def test_exact_componentwise_difference(self):
-        rng = np.random.default_rng(5)
-        c, g = rng.uniform(0, 3, 12), rng.uniform(0, 3, 12)
-        assert np.array_equal(metrics.difference_vector(c, g), c - g)
-
-    def test_accepts_profile_objects(self):
-        c = normalize_profile([2.0] * 12)
-        assert np.array_equal(metrics.difference_vector(c, flat_target()), np.zeros(12))
 
 
 class TestProfileDistance:
@@ -140,18 +129,31 @@ class TestGlobalDistance:
 
 
 class TestEnhancement:
+    """The enhancement metric e = 1 - d/d*, as attach_kpis gives it for each pair."""
+
+    @staticmethod
+    def metrics_of(distances):
+        """e_k of one singleton pair per distance from flat; d* is the median distance."""
+        rows = [
+            (f"C{i}", f"N{i}", "L", 1.0, [100.0 * (1 + d), 100.0 * (1 - d)] * 6)
+            for i, d in enumerate(distances)
+        ]
+        table = attach_kpis(build_pairs(make_dataset(rows)), constant_resolver(flat_target()))
+        assert table.d_k.tolist() == list(distances)
+        return table.e_k.tolist()
+
     def test_no_improvement_is_zero(self):
-        assert enhancement_metric(0.4, 0.4) == 0.0
+        assert self.metrics_of([0.0, 0.5, 1.0])[1] == 0.0
 
     def test_perfect_fit_is_one(self):
-        assert enhancement_metric(0.0, 0.4) == 1.0
+        assert self.metrics_of([0.0, 0.5, 1.0])[0] == 1.0
 
     def test_double_distance_is_minus_one(self):
-        assert enhancement_metric(0.8, 0.4) == -1.0
+        assert self.metrics_of([0.0, 0.5, 1.0])[2] == -1.0
 
     def test_degenerate_reference(self):
         with pytest.raises(DegenerateReferenceError):
-            enhancement_metric(0.1, 0.0)
+            self.metrics_of([0.0, 0.0])
 
 
 class TestEid:
@@ -264,9 +266,9 @@ class TestCustomerDistances:
         kernel = metrics.kernels.normalized_rmsd
         passes = []
 
-        def counted(raw, target):
-            passes.append(len(raw))
-            return kernel(raw, target)
+        def counted(raw, rows, target):
+            passes.append(len(rows))
+            return kernel(raw, rows, target)
 
         monkeypatch.setattr(metrics.kernels, "normalized_rmsd", counted)
         distances = metrics.member_distances(ds, lambda key: by_location[key.location])

@@ -4,7 +4,6 @@ from hypothesis import assume, given, strategies as st
 
 from retail_profiler.model import (
     DuplicateIdError,
-    NormalizedProfile,
     SchemaError,
     TargetProfile,
     ZeroDemandError,
@@ -22,17 +21,17 @@ positive_demands = st.lists(
 class TestNormalize:
     def test_constant_profile_becomes_ones(self):
         profile = normalize_profile([5.0] * 12)
-        assert np.array_equal(profile.values, np.ones(12))
+        assert np.array_equal(profile, np.ones(12))
 
     def test_scale_invariance_simple(self):
         raw = [1.0, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3, 2]
         doubled = [2 * v for v in raw]
-        assert np.array_equal(normalize_profile(raw).values, normalize_profile(doubled).values)
+        assert np.array_equal(normalize_profile(raw), normalize_profile(doubled))
 
     def test_hand_computed_division_by_mean(self):
         raw = [1.0, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3, 2]  # mean 2
         expected = [0.5, 1, 1.5, 1, 0.5, 1, 1.5, 1, 0.5, 1, 1.5, 1]
-        assert np.allclose(normalize_profile(raw).values, expected, rtol=0, atol=0)
+        assert np.allclose(normalize_profile(raw), expected, rtol=0, atol=0)
 
     def test_zero_demand_rejected(self):
         with pytest.raises(ZeroDemandError):
@@ -52,26 +51,22 @@ class TestNormalize:
         # grid or to 0; that is far below tolerance unless the scaled mean
         # itself is subnormal (test_subnormal_mean_keeps_its_shape covers those)
         assume(sum(k * v for v in raw) / 12 >= np.finfo(np.float64).tiny)
-        a = normalize_profile(raw).values
-        b = normalize_profile([k * v for v in raw]).values
+        a = normalize_profile(raw)
+        b = normalize_profile([k * v for v in raw])
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     @given(positive_demands)
     def test_unit_mean_property(self, raw):
-        assert abs(normalize_profile(raw).values.mean() - 1.0) <= 1e-9
+        assert abs(normalize_profile(raw).mean() - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("tiny", [5e-324, 2.2250738585e-313, 2.2250738585072e-309])
     def test_subnormal_mean_keeps_its_shape(self, tiny):
         raw = [0.0] * 10 + [tiny, 3 * tiny]
         expected = [0.0] * 10 + [3.0, 9.0]
-        assert np.allclose(normalize_profile(raw).values, expected, rtol=1e-15, atol=0)
+        assert np.allclose(normalize_profile(raw), expected, rtol=1e-15, atol=0)
 
 
 class TestProfileTypes:
-    def test_normalized_profile_enforces_unit_mean(self):
-        with pytest.raises(ValueError):
-            NormalizedProfile(np.full(12, 1.5))
-
     def test_target_profile_rejects_unknown_label(self):
         with pytest.raises(ValueError):
             TargetProfile(np.ones(12), "weird")
@@ -82,10 +77,14 @@ class TestProfileTypes:
         target = TargetProfile(values, "complement")
         assert target.values[0] == -0.5
 
+    def test_target_profile_enforces_unit_mean(self):
+        with pytest.raises(ValueError, match=r"^target profile must have unit mean, got 1\.5$"):
+            TargetProfile(np.full(12, 1.5), "custom")
+
     def test_values_are_read_only(self):
-        profile = NormalizedProfile(np.ones(12))
+        profile = normalize_profile(np.ones(12))
         with pytest.raises(ValueError):
-            profile.values[0] = 2.0
+            profile[0] = 2.0
 
 
 class TestLoad:

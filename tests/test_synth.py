@@ -119,7 +119,7 @@ class TestGenerate:
         ds, truth = generate(config, TARGET)
         bound = planted_distance_bound(config.noise_sigma, TARGET)
         planted_rows = [i for i, cid in enumerate(ds.ids) if cid in truth.planted_ids]
-        distances = kernels.normalized_rmsd(ds.raw_demand[planted_rows], TARGET.values)
+        distances = kernels.normalized_rmsd(ds.raw_demand, planted_rows, TARGET.values)
         assert float(distances.max()) <= bound
 
     def test_byte_identical_regeneration(self, tmp_path):

@@ -12,7 +12,6 @@ from retail_profiler.targets import (
     constant_resolver,
     custom_target,
     default_solar_row,
-    default_solar_table,
     default_solar_target,
     flat_target,
     load_aggregate_demand,
@@ -138,7 +137,7 @@ class TestResolvers:
         assert resolve(PairKey("X", "L")) is target
 
     def test_solar_resolver_uses_province_of_location(self):
-        table = default_solar_table(["P01", "P02"], amplitude=0.3)
+        table = SolarTable({province: default_solar_row(0.3) for province in ("P01", "P02")})
         resolve = solar_resolver(table, lambda loc: loc.split("-")[0])
         t1 = resolve(PairKey("X", "P01-M0001"))
         t2 = resolve(PairKey("Y", "P01-M0099"))
@@ -152,7 +151,7 @@ class TestLoaders:
         header = "province," + ",".join(f"m{j:02d}" for j in range(1, 13))
         path.write_text(header + "\nP36," + ",".join(["2.0"] * 12) + "\n")
         table = load_solar_table(path)
-        assert table.provinces == ("P36",)
+        assert tuple(table.rows) == ("P36",)
 
     def test_solar_table_bad_header(self, tmp_path):
         path = tmp_path / "solar.csv"

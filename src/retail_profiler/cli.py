@@ -115,19 +115,11 @@ def parse_target_spec(spec: str) -> tuple[TargetResolver, TargetProfile | None, 
         table_path, _, map_path = rest.partition(",")
         table = load_solar_table(table_path)
         if map_path:
-            mapping = load_mapping(map_path, LOCATION_MAP_HEADER)
-            province_of = _mapper(mapping)
+            province_of = load_mapping(map_path, LOCATION_MAP_HEADER).__getitem__
         else:
             province_of = default_province
         return solar_resolver(table, province_of), None, spec
     raise DataError(f"unknown target spec {spec!r}; {TARGET_SPEC_HELP}")
-
-
-def _mapper(mapping: dict[str, str]):
-    def lookup(code: str) -> str:
-        return mapping[code]
-
-    return lookup
 
 
 def _require_global_target(target: TargetProfile | None, spec: str) -> TargetProfile:
@@ -262,12 +254,12 @@ def cmd_matrix(args) -> int:
     table = read_pair_table(args.pairs, load_customers(args.customers))
     inputs = [Path(args.pairs), Path(args.customers)]
     if args.location_map:
-        province_of = _mapper(load_mapping(args.location_map, LOCATION_MAP_HEADER))
+        province_of = load_mapping(args.location_map, LOCATION_MAP_HEADER).__getitem__
         inputs.append(Path(args.location_map))
     else:
         province_of = default_province
     if args.nace_map:
-        division_of = _mapper(load_mapping(args.nace_map, NACE_MAP_HEADER))
+        division_of = load_mapping(args.nace_map, NACE_MAP_HEADER).__getitem__
         inputs.append(Path(args.nace_map))
     else:
         division_of = default_division

@@ -13,7 +13,6 @@ unit mean. Shape is what matters; absolute magnitude is deliberately dropped.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -125,19 +124,6 @@ class PairGroups:
         return self.rows[shift + np.arange(shift.size)]
 
 
-def _annual_totals(contracted: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Each row's demand sum; ValueError unless every value and sum is finite and >= 0."""
-    if raw.size and (not np.all(np.isfinite(raw)) or np.any(raw < 0)):
-        raise ValueError("raw demands must be finite and non-negative")
-    with np.errstate(over="ignore"):
-        totals = raw.sum(axis=1)
-    if not np.all(np.isfinite(totals)):
-        raise ValueError("a customer's monthly demands sum past the float64 range")
-    if contracted.size and (not np.all(np.isfinite(contracted)) or np.any(contracted < 0)):
-        raise ValueError("contracted power must be finite and non-negative")
-    return totals
-
-
 @dataclass(frozen=True, eq=False)
 class CustomerDataset:
     """Immutable column-wise customer table.
@@ -164,7 +150,13 @@ class CustomerDataset:
         raw = np.ascontiguousarray(self.raw_demand, dtype=np.float64)
         if contracted.shape != (n,) or raw.shape != (n, MONTHS):
             raise ValueError("array shapes disagree with row count")
-        _annual_totals(contracted, raw)
+        if raw.size and (not np.all(np.isfinite(raw)) or np.any(raw < 0)):
+            raise ValueError("raw demands must be finite and non-negative")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(raw.sum(axis=1))):
+                raise ValueError("a customer's monthly demands sum past the float64 range")
+        if contracted.size and (not np.all(np.isfinite(contracted)) or np.any(contracted < 0)):
+            raise ValueError("contracted power must be finite and non-negative")
         if len(set(self.ids)) != n:
             seen: set[str] = set()
             for cid in self.ids:
@@ -289,178 +281,220 @@ def pair_order(nace, location) -> tuple[np.ndarray, np.ndarray]:
 # Lines of a CSV file parsed or formatted at a time.
 _BLOCK = 4096
 
+# The leading text columns of the customer and pair-table CSVs; the rest are numbers.
+_TEXT_COLUMNS = 3
+
+_ZERO_DEMAND_NOTE = "line {}: customer {!r} has zero annual demand; excluded from profiling"
+
 
 class _NotPlain(Exception):
-    """The bulk reader does not cover this file; the row reader reads it instead."""
+    """The plain splitter cannot tokenize this file; ``csv.reader`` tokenizes it instead."""
 
 
-def _plain_blocks(path: Path, header: tuple[str, ...], numeric_from: int):
-    """Yield ``(strings, numbers)`` for each block of ``_BLOCK`` lines of a plain CSV.
+def _csv_rows(path: Path, header: tuple[str, ...] | None):
+    """Yield ``(line number, cells)`` for each non-blank row of a CSV file after its header.
 
-    ``strings`` holds the first ``numeric_from`` columns, one tuple of
-    unstripped cells each; ``numbers`` is the float64 matrix of the other
-    columns from one ``np.loadtxt`` call, which accepts a subset of the cells
-    ``float`` accepts and gives the same values. A plain file has exactly the
-    given header, LF or CRLF line ends (the latter is what ``csv.writer``
-    writes), no quote, NUL, bare CR or blank line, and the header's field
-    count on every line; for any other file this raises _NotPlain.
+    The first row must be ``header`` once its cells are stripped, or a
+    SchemaError names the file; with ``header`` None the first row is yielded
+    like any other. Text that is not UTF-8, or that ``csv.reader`` rejects
+    (such as a cell over its field limit), is a DataError naming the file.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            if header is not None:
+                got = next(reader, None)
+                if got is None or tuple(h.strip() for h in got) != header:
+                    raise SchemaError(f"{path}: header mismatch; expected {','.join(header)}")
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _block(lines: np.ndarray, strings, numbers: np.ndarray | None, rows, width: int):
+    """A tokenized block: ``(lines, strings, numbers, errors)``.
+
+    ``strings`` holds the first ``_TEXT_COLUMNS`` columns, one tuple of
+    unstripped cells each. ``numbers`` is the float64 matrix of the other
+    columns from one parse of the whole block, or None if that parse failed;
+    then each row is read with ``float`` instead. ``errors`` maps each row
+    with the wrong field count or a cell ``float`` rejects to its cells, as
+    ``rows()`` gives them; such a row's numbers are NaN. ``width`` is the
+    header's field count.
+    """
+    shape = (lines.size, width - _TEXT_COLUMNS)
+    errors = {}
+    if numbers is None or numbers.shape != shape:
+        numbers = np.full(shape, np.nan)
+        for i, row in enumerate(rows()):
+            try:
+                if len(row) != width:
+                    raise ValueError
+                numbers[i] = [float(cell) for cell in row[_TEXT_COLUMNS:]]
+            except ValueError:
+                errors[i] = row
+    return lines, strings, numbers, errors
+
+
+def _plain_blocks(path: Path, header: tuple[str, ...]):
+    """Yield the :func:`_block` of each block of ``_BLOCK`` lines of a plain CSV.
+
+    Each block's numbers come from one ``np.loadtxt`` call, which accepts a
+    subset of the cells ``float`` accepts and gives the same values. A plain
+    file is UTF-8 with exactly the given header, LF or CRLF line ends (the
+    latter is what ``csv.writer`` writes), no quote, NUL, bare CR or blank
+    line, and a cell after the first ``_TEXT_COLUMNS`` on every line; for any
+    other file this raises _NotPlain.
     """
     head = ",".join(header)
-    width = len(header) - numeric_from
+    line = 2
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             if fh.readline() not in (head, head + "\n", head + "\r\n"):
                 raise _NotPlain
-            while lines := list(islice(fh, _BLOCK)):
-                text = "".join(lines)
+            while block := list(islice(fh, _BLOCK)):
+                text = "".join(block)
                 if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
                     raise _NotPlain
                 rows = text.replace("\r\n", "\n").split("\n")
                 if text.endswith("\n"):
                     rows.pop()
-                cells = [row.split(",", numeric_from) for row in rows]
-                if min(map(len, cells)) <= numeric_from:  # also a blank line
+                cells = [row.split(",", _TEXT_COLUMNS) for row in rows]
+                if min(map(len, cells)) <= _TEXT_COLUMNS:  # also a blank line
                     raise _NotPlain
                 *strings, tails = zip(*cells)
                 if "" in tails:  # loadtxt would skip the line
                     raise _NotPlain
-                # comments=None: the default "#" would cut a cell short
-                numbers = np.loadtxt(tails, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-                if numbers.shape != (len(rows), width):
-                    raise _NotPlain
-                yield strings, numbers
-    except ValueError:  # loadtxt rejected a cell, or the file is not UTF-8
+                try:
+                    # comments=None: the default "#" would cut a cell short
+                    numbers = np.loadtxt(tails, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+                except ValueError:
+                    numbers = None
+                lines = np.arange(line, line + len(rows))
+                line += len(rows)
+                yield _block(lines, strings, numbers, lambda: [row.split(",") for row in rows], len(header))
+    except UnicodeDecodeError:
         raise _NotPlain from None
+
+
+def _csv_blocks(path: Path, header: tuple[str, ...]):
+    """Yield the :func:`_block` of each block of ``_BLOCK`` rows that ``csv.reader`` reads.
+
+    Each block's numbers come from one ``np.array(cells, dtype=np.float64)``
+    call, which parses each cell as ``float`` does. A row with the wrong field
+    count has empty text cells.
+    """
+    width = len(header)
+    reader = _csv_rows(path, header)
+    while block := list(islice(reader, _BLOCK)):
+        lines, rows = zip(*block)
+        strings = zip(*(row[:_TEXT_COLUMNS] if len(row) == width else [""] * _TEXT_COLUMNS for row in rows))
+        try:
+            numbers = np.array([row[_TEXT_COLUMNS:] for row in rows], dtype=np.float64)
+        except ValueError:
+            numbers = None
+        yield _block(np.array(lines), tuple(strings), numbers, lambda: rows, width)
+
+
+def _read_csv(path: Path, header: tuple[str, ...], check):
+    """``check`` applied to the tokenized blocks of a CSV file.
+
+    The plain splitter tokenizes the file if it can; otherwise ``csv.reader``
+    tokenizes it from the start. Both give the same blocks, so ``check``
+    holds the only copy of the file's row rules.
+    """
+    try:
+        return check(_plain_blocks(path, header))
+    except _NotPlain:
+        return check(_csv_blocks(path, header))
 
 
 def load_customers(path) -> CustomerDataset:
     """Parse a customer CSV (schema: id,nace,location,contracted_kw,m01..m12).
 
     Well-formed rows are kept even when nace/location is missing; rows with
-    malformed or negative numerics, or monthly demands whose sum overflows
-    float64, are rejected with a line-numbered diagnostic. Duplicate ids
-    abort the load.
-
-    A plain file whose rows are all valid is parsed in bulk; any other file is
-    read row by row, which gives the same values, notes and errors.
+    the wrong field count, an empty id, malformed or negative numerics, or
+    monthly demands whose sum overflows float64, are rejected with a
+    line-numbered diagnostic. An id that repeats an accepted row's aborts
+    the load.
     """
     path = Path(path)
-    try:
-        return _load_plain_customers(path)
-    except _NotPlain:
-        return _read_customer_rows(path)
+    return _read_csv(path, CUSTOMER_CSV_HEADER, lambda blocks: _checked_customers(path, blocks))
 
 
-def _load_plain_customers(path: Path) -> CustomerDataset:
-    """The dataset of a plain customer CSV; raises _NotPlain for a row the row reader would reject.
+def _checked_customers(path: Path, blocks) -> CustomerDataset:
+    """The dataset of a tokenized customer CSV, checked one block at a time.
 
-    The checks of one row run on each block, so such a row ends the bulk
-    parse at its block; duplicate ids are found when the dataset is built.
+    A row's rules apply in this order: field count, empty id, an id that
+    repeats an earlier accepted row's, malformed number, then the values. A
+    block that passes them all is taken whole.
     """
     ids: list[str] = []
     naces: list[str] = []
     locations: list[str] = []
-    blocks = [np.empty((0, MONTHS + 1))]
-    totals = [np.empty(0)]
-    for (cid, nace, location), numbers in _plain_blocks(path, CUSTOMER_CSV_HEADER, 3):
-        cid = [cell.strip() for cell in cid]
-        if "" in cid:
-            raise _NotPlain
-        try:
-            totals.append(_annual_totals(numbers[:, 0], numbers[:, 1:]))
-        except ValueError:
-            raise _NotPlain from None
-        ids += cid
-        naces += map(str.strip, nace)
-        locations += map(str.strip, location)
-        blocks.append(numbers)
-    try:
-        return CustomerDataset(
-            ids=tuple(ids),
-            nace=tuple(naces),
-            location=tuple(locations),
-            contracted_kw=np.concatenate([block[:, 0] for block in blocks]),
-            raw_demand=np.concatenate([block[:, 1:] for block in blocks]),
-            diagnostics=tuple(
-                f"line {i + 2}: customer {ids[i]!r} has zero annual demand; excluded from profiling"
-                for i in np.flatnonzero(np.concatenate(totals) == 0.0).tolist()
-            ),
-        )
-    except DuplicateIdError:
-        raise _NotPlain from None
-
-
-def _read_customer_rows(path: Path) -> CustomerDataset:
-    """Read a customer CSV row by row; this reads every file the bulk path does not."""
-    ids: list[str] = []
-    naces: list[str] = []
-    locations: list[str] = []
-    contracted: list[float] = []
-    demands: list[list[float]] = []
+    contracted = [np.empty(0)]
+    demands = [np.empty((0, MONTHS))]
     diagnostics: list[str] = []
     seen: set[str] = set()
-
-    # a non-finite row sum is reported as a diagnostic, not as a numpy warning
-    with path.open(newline="", encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CUSTOMER_CSV_HEADER:
-            raise SchemaError(
-                f"{path}: header mismatch; expected {','.join(CUSTOMER_CSV_HEADER)}"
-            )
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(CUSTOMER_CSV_HEADER):
-                diagnostics.append(
-                    f"line {line}: expected {len(CUSTOMER_CSV_HEADER)} fields, got {len(row)}; row rejected"
-                )
-                continue
-            cid = row[0].strip()
-            if not cid:
-                diagnostics.append(f"line {line}: empty customer id; row rejected")
-                continue
-            if cid in seen:
-                raise DuplicateIdError(f"{path}: line {line}: duplicate customer id: {cid!r}")
-            try:
-                kw = float(row[3])
-                monthly = [float(cell) for cell in row[4:]]
-            except ValueError as exc:
-                diagnostics.append(f"line {line}: malformed numeric field ({exc}); row rejected")
-                continue
-            values = np.array([kw] + monthly)
-            total = values[1:].sum()
-            # non-negative months with a finite sum are finite themselves
-            if not (values.min() >= 0.0 and math.isfinite(kw) and math.isfinite(total)):
-                problem = (
-                    "monthly demands sum past the float64 range"
-                    if np.all(np.isfinite(values)) and values.min() >= 0.0
-                    else "numeric fields must be finite and >= 0"
-                )
+    for lines, (cid, nace, location), numbers, errors in blocks:
+        cid = [cell.strip() for cell in cid]
+        block_ids = set(cid)
+        # a non-finite row sum is reported as a diagnostic, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = numbers[:, 1:].sum(axis=1)
+            proper = np.isfinite(numbers).all(axis=1) & (numbers >= 0).all(axis=1)
+        valid = proper & np.isfinite(totals)
+        clean = not errors and valid.all() and "" not in block_ids and len(block_ids) == len(cid)
+        if not (clean and seen.isdisjoint(block_ids)):
+            keep = []
+            for i, line in enumerate(lines.tolist()):
+                row = errors.get(i)
+                if row is not None and len(row) != len(CUSTOMER_CSV_HEADER):
+                    problem = f"expected {len(CUSTOMER_CSV_HEADER)} fields, got {len(row)}"
+                elif not cid[i]:
+                    problem = "empty customer id"
+                elif cid[i] in seen:
+                    raise DuplicateIdError(f"{path}: line {line}: duplicate customer id: {cid[i]!r}")
+                elif row is not None:
+                    try:
+                        list(map(float, row[_TEXT_COLUMNS:]))
+                    except ValueError as exc:  # _block found a cell that raises
+                        problem = f"malformed numeric field ({exc})"
+                elif not valid[i]:
+                    problem = (
+                        "monthly demands sum past the float64 range" if proper[i]
+                        else "numeric fields must be finite and >= 0"
+                    )
+                else:
+                    seen.add(cid[i])
+                    keep.append(i)
+                    if totals[i] == 0.0:
+                        diagnostics.append(_ZERO_DEMAND_NOTE.format(line, cid[i]))
+                    continue
                 diagnostics.append(f"line {line}: {problem}; row rejected")
-                continue
-            seen.add(cid)
-            ids.append(cid)
-            naces.append(row[1].strip())
-            locations.append(row[2].strip())
-            contracted.append(kw)
-            demands.append(monthly)
-            if total == 0.0:
-                diagnostics.append(
-                    f"line {line}: customer {cid!r} has zero annual demand; excluded from profiling"
-                )
-
-    n = len(ids)
-    dataset = CustomerDataset(
+        else:
+            seen |= block_ids
+            keep = range(len(cid))
+            zero = np.flatnonzero(totals == 0.0).tolist()
+            diagnostics += map(_ZERO_DEMAND_NOTE.format, lines[zero].tolist(), map(cid.__getitem__, zero))
+        ids += map(cid.__getitem__, keep)
+        naces += map(str.strip, map(nace.__getitem__, keep))
+        locations += map(str.strip, map(location.__getitem__, keep))
+        contracted.append(numbers[keep, 0])
+        demands.append(numbers[keep, 1:])
+    del seen  # the dataset builds its own set of the ids
+    return CustomerDataset(
         ids=tuple(ids),
         nace=tuple(naces),
         location=tuple(locations),
-        contracted_kw=np.array(contracted, dtype=np.float64),
-        raw_demand=np.array(demands, dtype=np.float64).reshape(n, MONTHS),
+        contracted_kw=np.concatenate(contracted),
+        raw_demand=np.concatenate(demands),
         diagnostics=tuple(diagnostics),
     )
-    return dataset
 
 
 def save_customers(dataset: CustomerDataset, path) -> None:

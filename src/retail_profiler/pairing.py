@@ -35,8 +35,8 @@ from retail_profiler.model import (
     PairKey,
     SchemaError,
     _BLOCK,
-    _NotPlain,
-    _plain_blocks,
+    _csv_rows,
+    _read_csv,
     format_float,
     pair_order,
 )
@@ -339,17 +339,10 @@ def load_mapping(path, header: tuple[str, str]) -> dict[str, str]:
     """Read a two-column code mapping CSV with the given header."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None or tuple(h.strip() for h in got) != header:
-            raise SchemaError(f"{path}: header mismatch; expected {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"{path}: line {reader.line_num}: expected 2 fields")
-            mapping[row[0].strip()] = row[1].strip()
+    for line, row in _csv_rows(path, header):
+        if len(row) != 2:
+            raise SchemaError(f"{path}: line {line}: expected 2 fields")
+        mapping[row[0].strip()] = row[1].strip()
     return mapping
 
 
@@ -388,112 +381,59 @@ def read_pair_table(path, dataset: CustomerDataset | None = None) -> PairTable:
     against the stored cardinality. The rows are checked all at once, and the
     error raised is that of the first failing line. The table comes back in
     (nace, location) order.
-
-    A plain file without empty KPI cells is parsed in bulk; any other file is
-    read row by row, which gives the same table and errors.
     """
     path = Path(path)
-    try:
-        blocks = _plain_pair_blocks(path)
-    except _NotPlain:
-        return _read_pair_rows(path, dataset)
-    return _checked_table(path, blocks, dataset)
+    return _read_csv(path, PAIR_TABLE_HEADER, lambda blocks: _checked_table(path, blocks, dataset))
 
 
-def _plain_pair_blocks(path: Path) -> list[tuple]:
-    """The blocks of a plain pair table, in the layout :func:`_parse_block` gives."""
-    blocks: list[tuple] = []
-    _parse_block([], [], path, blocks)  # an empty table still has columns
-    line = 2
-    for (nace, location, n_k), values in _plain_blocks(path, PAIR_TABLE_HEADER, 3):
+def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairTable:
+    """The pair table of a tokenized file; raises a DataError for the first failing line.
+
+    Blocks are read up to the first row with the wrong field count or a
+    malformed number, and the rows before that row are checked first. An
+    empty KPI cell parses as NaN.
+    """
+    columns = [(
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=object), np.empty(0, dtype=object),
+        np.empty(0, dtype=np.int64), np.empty((0, len(PAIR_TABLE_HEADER) - 3)), np.empty((0, 3), dtype=bool),
+    )]
+    error = None
+    for lines, (nace, location, n_k_cells), values, errors in blocks:
+        n = lines.size
+        empty = np.zeros((n, 3), dtype=bool)
         try:
-            n_k = np.fromiter(map(int, n_k), dtype=np.int64, count=len(n_k))
+            n_k = np.fromiter(map(int, n_k_cells), dtype=np.int64, count=n)
         except (ValueError, OverflowError):
-            raise _NotPlain from None
-        lines = np.arange(line, line + n_k.size)
-        line += n_k.size
-        blocks.append((
-            lines,
-            np.array([cell.strip() for cell in nace], dtype=object),
-            np.array([cell.strip() for cell in location], dtype=object),
-            n_k,
-            values,
-            np.zeros((n_k.size, 3), dtype=bool),
-        ))
-    return blocks
-
-
-def _read_pair_rows(path: Path, dataset: CustomerDataset | None) -> PairTable:
-    """Read a pair table row by row; this reads every file the bulk path does not.
-
-    Blocks of ``_BLOCK`` rows are parsed into float64 arrays. The rows before
-    a malformed row are checked first, so the error raised is that of the
-    first failing line.
-    """
-    blocks: list[tuple] = []
-    rows: list[list[str]] = []
-    lines: list[int] = []
-    error = None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != PAIR_TABLE_HEADER:
-            raise SchemaError(f"{path}: header mismatch; expected {','.join(PAIR_TABLE_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(PAIR_TABLE_HEADER):
-                error = SchemaError(f"{path}: line {reader.line_num}: expected {len(PAIR_TABLE_HEADER)} fields")
+            n_k = np.empty(n, dtype=np.int64)
+            errors = {i: errors.get(i) for i in range(n)}  # read every row alone
+        for i, row in errors.items():  # in line order
+            if row is not None and len(row) != len(PAIR_TABLE_HEADER):
+                error = SchemaError(f"{path}: line {lines[i]}: expected {len(PAIR_TABLE_HEADER)} fields")
                 break
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == _BLOCK:
-                error = _parse_block(rows, lines, path, blocks)
-                rows, lines = [], []
-                if error is not None:
-                    break
-    # the rows read before an error come earlier in the file, so they are checked first
-    error = _parse_block(rows, lines, path, blocks) or error
-    table = _checked_table(path, blocks, dataset)
-    if error is not None:
-        raise error
-    return table
-
-
-def _parse_block(rows: list[list[str]], lines: list[int], path: Path, blocks: list) -> DataError | None:
-    """Append the columns of a block of pair rows to ``blocks``.
-
-    The columns are line numbers, nace, location, ``n_k``, the float columns
-    from ``avg_contracted_kw`` on, and a mask of the empty KPI cells, which
-    parse as NaN. A malformed row ends the block and its DataError is returned.
-    """
-    n = len(rows)
-    n_k = np.empty(n, dtype=np.int64)
-    values = np.empty((n, len(PAIR_TABLE_HEADER) - 3))
-    empty = np.zeros((n, 3), dtype=bool)
-    error = None
-    for i, row in enumerate(rows):
-        try:
-            n_k[i] = int(row[2])
-            empty[i] = [cell == "" for cell in row[5:8]]
-            values[i] = (
-                [float(row[3]), float(row[4])]
-                + [math.nan if cell == "" else float(cell) for cell in row[5:8]]
-                + [float(cell) for cell in row[8:]]
-            )
-        except (ValueError, OverflowError) as exc:
-            error = DataError(f"{path}: line {lines[i]}: malformed numeric field ({exc})")
-            n = i
+            try:
+                n_k[i] = int(n_k_cells[i])
+                if row is not None:
+                    empty[i] = [cell == "" for cell in row[5:8]]
+                    values[i] = (
+                        [float(row[3]), float(row[4])]
+                        + [math.nan if cell == "" else float(cell) for cell in row[5:8]]
+                        + [float(cell) for cell in row[8:]]
+                    )
+            except (ValueError, OverflowError) as exc:
+                error = DataError(f"{path}: line {lines[i]}: malformed numeric field ({exc})")
+                break
+        n = i if error is not None else n
+        columns.append((
+            lines[:n],
+            np.array([cell.strip() for cell in nace[:n]], dtype=object),
+            np.array([cell.strip() for cell in location[:n]], dtype=object),
+            n_k[:n],
+            values[:n],
+            empty[:n],
+        ))
+        if error is not None:
             break
-    nace = np.array([row[0].strip() for row in rows[:n]], dtype=object)
-    location = np.array([row[1].strip() for row in rows[:n]], dtype=object)
-    blocks.append((np.array(lines[:n], dtype=np.int64), nace, location, n_k[:n], values[:n], empty[:n]))
-    return error
-
-
-def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) -> PairTable:
-    """The pair table of the parsed rows; raises a DataError for the first failing line."""
-    lines, nace, location, n_k, values, empty = map(np.concatenate, zip(*blocks))
+    lines, nace, location, n_k, values, empty = map(np.concatenate, zip(*columns))
     kpis, profiles = values[:, 2:5], values[:, 5:]
     order, new_key = pair_order(nace, location)
     # each later row of a repeated key points at the row before it
@@ -539,6 +479,8 @@ def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) ->
         i = int(failing.argmax())
         message = next(message for mask, message in checks if mask[i])
         raise DataError(f"{path}: line {lines[i]}: {message(i)}")
+    if error is not None:
+        raise error
     kpi = [None if empty[:, j].all() else kpis[order, j] for j in range(3)]
     return PairTable(
         nace=tuple(nace[order].tolist()),

@@ -31,6 +31,7 @@ from retail_profiler.model import (
     DataError,
     PairKey,
     TargetProfile,
+    _csv_rows,
 )
 
 GROUND_TRUTH_HEADER = ("id", "planted", "pair_nace", "pair_location")
@@ -293,15 +294,8 @@ def read_ground_truth(path) -> tuple[dict[str, PairKey], frozenset[str]]:
     path = Path(path)
     pairs: dict[str, PairKey] = {}
     planted: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != GROUND_TRUTH_HEADER:
-            raise DataError(f"{path}: header mismatch; expected {','.join(GROUND_TRUTH_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            pairs[row[0]] = PairKey(row[2], row[3])
-            if row[1].strip() == "1":
-                planted.add(row[0])
+    for _, row in _csv_rows(path, GROUND_TRUTH_HEADER):
+        pairs[row[0]] = PairKey(row[2], row[3])
+        if row[1].strip() == "1":
+            planted.add(row[0])
     return pairs, frozenset(planted)

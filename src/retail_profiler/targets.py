@@ -8,7 +8,6 @@ machinery.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from retail_profiler.model import (
     PairKey,
     SchemaError,
     TargetProfile,
+    _csv_rows,
 )
 
 TargetResolver = Callable[[PairKey], TargetProfile]
@@ -174,12 +174,16 @@ def solar_resolver(table: SolarTable, province_of: Callable[[str], str]) -> Targ
     """Resolver mapping a pair to its province's solar target.
 
     Targets are built once per province and cached; ``province_of`` maps a
-    location code to a province code.
+    location code to a province code, raising KeyError for an unmapped one,
+    which the resolver reports as a DataError.
     """
     cache: dict[str, TargetProfile] = {}
 
     def resolve(pair: PairKey) -> TargetProfile:
-        province = province_of(pair.location)
+        try:
+            province = province_of(pair.location)
+        except KeyError:
+            raise DataError(f"location {pair.location!r} has no province mapping") from None
         got = cache.get(province)
         if got is None:
             got = cache[province] = solar_target(province, table)
@@ -192,25 +196,17 @@ def load_solar_table(path) -> SolarTable:
     """Read a solar table CSV (schema: province,m01..m12, positive decimals)."""
     path = Path(path)
     rows: dict[str, np.ndarray] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != SOLAR_TABLE_HEADER:
-            raise SchemaError(f"{path}: header mismatch; expected {','.join(SOLAR_TABLE_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(SOLAR_TABLE_HEADER):
-                raise SchemaError(f"{path}: line {line}: expected {len(SOLAR_TABLE_HEADER)} fields")
-            province = row[0].strip()
-            if province in rows:
-                raise DataError(f"{path}: line {line}: duplicate province {province!r}")
-            try:
-                values = np.array([float(cell) for cell in row[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line}: malformed numeric field ({exc})") from None
-            rows[province] = values
+    for line, row in _csv_rows(path, SOLAR_TABLE_HEADER):
+        if len(row) != len(SOLAR_TABLE_HEADER):
+            raise SchemaError(f"{path}: line {line}: expected {len(SOLAR_TABLE_HEADER)} fields")
+        province = row[0].strip()
+        if province in rows:
+            raise DataError(f"{path}: line {line}: duplicate province {province!r}")
+        try:
+            values = np.array([float(cell) for cell in row[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line}: malformed numeric field ({exc})") from None
+        rows[province] = values
     if not rows:
         raise DataError(f"{path}: solar table has no rows")
     try:
@@ -226,21 +222,16 @@ def load_aggregate_demand(path) -> AggregateDemand:
     """
     path = Path(path)
     rows: list[list[float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                if not rows and line <= 1:
-                    continue  # header row
-                raise DataError(f"{path}: line {line}: malformed numeric field") from None
-            if len(values) != MONTHS:
-                raise DataError(f"{path}: line {line}: expected {MONTHS} values, got {len(values)}")
-            rows.append(values)
+    for line, row in _csv_rows(path, None):
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            if not rows and line <= 1:
+                continue  # header row
+            raise DataError(f"{path}: line {line}: malformed numeric field") from None
+        if len(values) != MONTHS:
+            raise DataError(f"{path}: line {line}: expected {MONTHS} values, got {len(values)}")
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: aggregate demand file has no data rows")
     try:

@@ -126,7 +126,41 @@ class TestExitCodes:
         path.write_bytes(path.read_bytes() + row + b"\r\n")
         proc = run_cli("pairs", "--customers", str(path), "--target", "flat", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.startswith(f"error: {path}: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "nace,line",
+        [(b"N\xff", ""), (b'"' + b"x" * 131_073 + b'"', "line 2: ")],
+        ids=["not-utf8", "cell-over-csv-field-limit"],
+    )
+    def test_unreadable_pair_table_is_two(self, tmp_path, nace, line):
+        path = tmp_path / "pairs.csv"
+        row = b",".join([nace, b"L1", b"1", b"1.0", b"1.0", b"0.1", b"0.5", b"0.5"] + [b"1.0"] * 12)
+        path.write_bytes(",".join(pairing.PAIR_TABLE_HEADER).encode() + b"\r\n" + row + b"\r\n")
+        proc = run_cli("stats", "--pairs", str(path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {path}: {line}")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "location,mapped",
+        [("P2-M001", True), ("-x", False)],
+        ids=["location-missing-from-map", "location-without-province-prefix"],
+    )
+    def test_unmapped_location_is_two(self, tmp_path, location, mapped):
+        customers = tmp_path / "c.csv"
+        write_customer_csv(customers, [("A", "X", "P1-M001", 1.0, offset_demand()), ("B", "X", location, 1.0, flat_demand())])
+        table = tmp_path / "T.csv"
+        table.write_text(SOLAR_HEADER + "\nP1" + ",1" * 12 + "\n")
+        spec = f"solar:{table}"
+        if mapped:
+            mapping = tmp_path / "M.csv"
+            mapping.write_text("location,province\nP1-M001,P1\n")
+            spec += f",{mapping}"
+        proc = run_cli("pairs", "--customers", str(customers), "--target", spec, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert f"location {location!r} has no province mapping" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_help_is_zero(self, capsys):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from retail_profiler import pairing
+from retail_profiler import model, pairing
 from retail_profiler.metrics import DegenerateReferenceError, eid, global_distance, member_distances, profile_distance
 from retail_profiler.model import DataError, PairKey, normalize_profile
 from retail_profiler.pairing import (
@@ -531,7 +531,7 @@ class TestCsvRoundTrip:
         assert again.read_text() == path.read_text()
 
     def test_first_failing_line_wins_across_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pairing, "_BLOCK", 2)
+        monkeypatch.setattr(model, "_BLOCK", 2)
         path, _ = self.three_pairs(tmp_path)
         self.set_cell(path, 4, "n_k", "x")
         with pytest.raises(DataError, match="line 4: malformed numeric field"):

@@ -1,20 +1,24 @@
-"""The bulk CSV readers against the row readers they stand in front of.
+"""The CSV readers against the row-by-row readers in ``tests/reader_oracle.py``.
 
-``load_customers`` and ``read_pair_table`` parse a plain file in numpy blocks
-and hand any other file to the row reader. Each input below goes through the
-public reader and through the row reader alone; the two must give the same
-columns bit for bit, the same diagnostics, or the same exception.
+``load_customers`` and ``read_pair_table`` tokenize a plain file with a
+string splitter and any other file with ``csv.reader``; one checker per file
+kind reads the blocks of either. Each input below goes through the public
+reader and through the referee; the two must give the same columns bit for
+bit, the same diagnostics, or the same exception. Each case also names the
+tokenizer that must read it.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from retail_profiler import model, pairing
-from retail_profiler.model import CUSTOMER_CSV_HEADER, load_customers, save_customers
+from retail_profiler.model import CUSTOMER_CSV_HEADER, DataError, load_customers, save_customers
 from retail_profiler.pairing import PAIR_TABLE_HEADER, attach_kpis, build_pairs, read_pair_table, write_pair_table
 from retail_profiler.targets import constant_resolver, default_solar_target
+from tests import reader_oracle
 from tests.conftest import flat_demand, make_dataset, offset_demand
 
 RESOLVER = constant_resolver(default_solar_target())
@@ -36,12 +40,29 @@ def outcome(read, *args):
     return columns
 
 
-def is_plain(read, *args):
-    try:
-        read(*args)
-    except model._NotPlain:
-        return False
-    return True
+def csv_tokenizer_calls(monkeypatch):
+    """The paths ``csv.reader`` tokenizes from now on, as a list that grows."""
+    calls = []
+    csv_blocks = model._csv_blocks
+
+    def recorded(path, header):
+        calls.append(path)
+        return csv_blocks(path, header)
+
+    monkeypatch.setattr(model, "_csv_blocks", recorded)
+    return calls
+
+
+def refuse_csv_tokenizer(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("csv.reader tokenized a file the plain splitter reads")
+
+    monkeypatch.setattr(model, "_csv_blocks", refuse)
+
+
+def set_block(monkeypatch, block):
+    monkeypatch.setattr(model, "_BLOCK", block)
+    monkeypatch.setattr(reader_oracle, "_BLOCK", block)
 
 
 # -- customers ---------------------------------------------------------------
@@ -59,7 +80,7 @@ def customer_file(*rows, end="\n", final=True):
 
 ROWS = (customer("A"), customer("B", months=("2.5",) * 12), customer("C", "A01.2", "P02-M003", "3"))
 
-# (name, file text, whether the bulk path reads it)
+# (name, file text, whether the plain splitter tokenizes it)
 CUSTOMER_CASES = [
     ("lf", customer_file(*ROWS), True),
     ("crlf", customer_file(*ROWS, end="\r\n"), True),
@@ -79,75 +100,76 @@ CUSTOMER_CASES = [
     ("nul", customer_file(customer("A\0"), ROWS[1]), False),
     ("utf8-bom", "\ufeff" + customer_file(*ROWS), False),
     ("hash-in-id", customer_file(customer("A#1"), ROWS[1]), True),
-    ("hash-in-number", customer_file(customer(kw="1#2"), ROWS[1]), False),
-    ("hash-in-last-number", customer_file(customer(months=("1.5",) * 11 + ("1.5#9",)), ROWS[1]), False),
+    ("hash-in-number", customer_file(customer(kw="1#2"), ROWS[1]), True),
+    ("hash-in-last-number", customer_file(customer(months=("1.5",) * 11 + ("1.5#9",)), ROWS[1]), True),
     ("spaces-around-cells", customer_file(customer(" A ", " J61.1 ", " P36 ", " 10.0 ", (" 1.5 ",) * 12)), True),
     ("tab-and-vertical-tab", customer_file(customer(kw="\t10.0", months=("1.5\x0b",) * 12)), True),
     ("plus-sign", customer_file(customer(kw="+1.5", months=("+2",) * 12)), True),
-    ("underscore-digits", customer_file(customer(kw="1_0"), ROWS[1]), False),
-    ("non-ascii-digits", customer_file(customer(kw="١٢"), ROWS[1]), False),
-    ("huge-exponent", customer_file(customer(kw="1e400"), ROWS[1]), False),
-    ("nan", customer_file(customer(months=("nan",) + ("1",) * 11), ROWS[1]), False),
+    ("underscore-digits", customer_file(customer(kw="1_0"), ROWS[1]), True),
+    ("non-ascii-digits", customer_file(customer(kw="١٢"), ROWS[1]), True),
+    ("huge-exponent", customer_file(customer(kw="1e400"), ROWS[1]), True),
+    ("nan", customer_file(customer(months=("nan",) + ("1",) * 11), ROWS[1]), True),
     ("negative-zero", customer_file(customer(kw="-0.0", months=("-0.0",) + ("1",) * 11)), True),
     ("smallest-subnormal", customer_file(customer(months=("5e-324",) + ("0",) * 11)), True),
-    ("negative", customer_file(customer(months=("-1",) + ("1",) * 11), ROWS[1]), False),
-    ("sum-overflow", customer_file(ROWS[0], customer("B", months=("1.5e307",) * 12)), False),
-    ("empty-cell", customer_file(customer(kw=""), ROWS[1]), False),
-    ("extra-field", customer_file(ROWS[0], ROWS[1] + ",1"), False),
-    ("missing-field", customer_file(ROWS[0], ROWS[1].rsplit(",", 1)[0]), False),
+    ("negative", customer_file(customer(months=("-1",) + ("1",) * 11), ROWS[1]), True),
+    ("sum-overflow", customer_file(ROWS[0], customer("B", months=("1.5e307",) * 12)), True),
+    ("empty-cell", customer_file(customer(kw=""), ROWS[1]), True),
+    ("extra-field", customer_file(ROWS[0], ROWS[1] + ",1"), True),
+    ("missing-field", customer_file(ROWS[0], ROWS[1].rsplit(",", 1)[0]), True),
     ("no-numbers", customer_file(ROWS[0], "D,J61.1,P36-M001,"), False),
     ("only-row-without-numbers", customer_file("D,J61.1,P36-M001,"), False),
-    ("empty-id", customer_file(ROWS[0], customer("  ")), False),
-    ("duplicate-id", customer_file(ROWS[0], ROWS[1], customer("A")), False),
-    ("duplicate-id-after-strip", customer_file(ROWS[0], customer(" A")), False),
+    ("three-fields", customer_file(ROWS[0], "D,J61.1,P36-M001"), False),
+    ("empty-id", customer_file(ROWS[0], customer("  ")), True),
+    ("duplicate-id", customer_file(ROWS[0], ROWS[1], customer("A")), True),
+    ("duplicate-id-after-strip", customer_file(ROWS[0], customer(" A")), True),
     ("zero-demand", customer_file(ROWS[0], customer("Z", months=("0",) * 12), ROWS[1]), True),
     ("missing-keys", customer_file(customer("A", "", ""), ROWS[1]), True),
     ("non-ascii-ids", customer_file(customer("Ålesund-é"), customer("客户", "ç", "ß")), True),
     ("unicode-line-separator-in-id", customer_file(customer("A\u2028B"), ROWS[1]), True),
+    # the order of the row rules: field count, empty id, repeated id, malformed number, values
+    ("empty-id-with-wrong-field-count", customer_file(ROWS[0], customer("  ") + ",1"), True),
+    ("repeated-id-with-wrong-field-count", customer_file(ROWS[0], customer("A") + ",1"), True),
+    ("empty-id-with-malformed-number", customer_file(ROWS[0], customer("  ", kw="x")), True),
+    ("repeated-id-with-malformed-number", customer_file(ROWS[0], ROWS[1], customer("A", kw="x")), True),
+    ("repeated-id-with-negative-value", customer_file(ROWS[0], ROWS[1], customer("A", kw="-1")), True),
+    ("rejected-id-reused", customer_file(customer("A", kw="x"), customer("A", kw="-1"), *ROWS), True),
+    (
+        "notes-in-line-order",
+        customer_file(customer("Z", months=("0",) * 12), customer("N", kw="x"), ROWS[0],
+                      customer("Y", months=("0",) * 12), "M,J61.1,P36,1", ROWS[1]),
+        True,
+    ),
 ]
 
 
-@pytest.mark.parametrize("block", [2, 4096])
+@pytest.mark.parametrize("block", [2, 3, 4096])
 @pytest.mark.parametrize("name,text,plain", CUSTOMER_CASES, ids=[c[0] for c in CUSTOMER_CASES])
 def test_customer_readers_agree(tmp_path, monkeypatch, block, name, text, plain):
-    monkeypatch.setattr(model, "_BLOCK", block)
+    set_block(monkeypatch, block)
+    csv_reads = csv_tokenizer_calls(monkeypatch)
     path = tmp_path / "customers.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert is_plain(model._load_plain_customers, path) == plain
-    assert outcome(load_customers, path) == outcome(model._read_customer_rows, path)
+    assert outcome(load_customers, path) == outcome(reader_oracle._read_customer_rows, path)
+    assert csv_reads == ([] if plain else [path])
 
 
 def test_customer_readers_agree_on_invalid_utf8(tmp_path):
     path = tmp_path / "customers.csv"
     path.write_bytes(customer_file(*ROWS).encode() + b"\xff,x,y,1" + b",1" * 12 + b"\n")
-    assert not is_plain(model._load_plain_customers, path)
-    assert outcome(load_customers, path) == outcome(model._read_customer_rows, path)
-
-
-@pytest.mark.parametrize("bad", [customer("  "), customer("N", months=("-1",) + ("1",) * 11)], ids=["empty-id", "negative"])
-def test_bad_row_ends_the_bulk_parse_at_its_block(tmp_path, monkeypatch, bad):
-    monkeypatch.setattr(model, "_BLOCK", 2)
-    blocks = []
-    plain_blocks = model._plain_blocks
-
-    def counted(*args):
-        for block in plain_blocks(*args):
-            blocks.append(block)
-            yield block
-
-    monkeypatch.setattr(model, "_plain_blocks", counted)
-    path = tmp_path / "customers.csv"
-    path.write_text(customer_file(ROWS[0], bad, *(customer(f"R{i}") for i in range(6))))
-    assert not is_plain(model._load_plain_customers, path)
-    assert len(blocks) == 1
+    with pytest.raises(UnicodeDecodeError) as referee:
+        reader_oracle._read_customer_rows(path)
+    with pytest.raises(DataError) as got:
+        load_customers(path)
+    assert str(got.value) == f"{path}: {referee.value}"
 
 
 def test_bulk_zero_demand_notes_keep_line_numbers(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "_BLOCK", 2)
+    refuse_csv_tokenizer(monkeypatch)
     path = tmp_path / "customers.csv"
     zero = ("0",) * 12
     path.write_text(customer_file(ROWS[0], customer("Y", months=zero), ROWS[1], ROWS[2], customer("Z", months=zero)))
-    assert model._load_plain_customers(path).diagnostics == (
+    assert load_customers(path).diagnostics == (
         "line 3: customer 'Y' has zero annual demand; excluded from profiling",
         "line 6: customer 'Z' has zero annual demand; excluded from profiling",
     )
@@ -228,31 +250,31 @@ PAIR_CASES = [
     ("nul", text_of(edit("nace", "N\0")), False),
     ("utf8-bom", text_of(prefix="\ufeff"), False),
     ("hash-in-key", text_of(edit("nace", "N#1")), True),
-    ("hash-in-number", text_of(edit("avg_demand_kwh", "1#2")), False),
-    ("hash-in-last-number", text_of(edit("p12", "1.0#9")), False),
+    ("hash-in-number", text_of(edit("avg_demand_kwh", "1#2")), True),
+    ("hash-in-last-number", text_of(edit("p12", "1.0#9")), True),
     ("spaces-around-cells", text_of(edit("nace", " N1 ")), True),
     ("spaces-around-number", text_of(edit("avg_contracted_kw", " 1.0 ")), True),
     ("spaces-around-n_k", text_of(edit("n_k", " 1 ")), True),
     ("plus-sign", text_of(edit("avg_contracted_kw", "+1.5")), True),
-    ("underscore-digits", text_of(edit("avg_contracted_kw", "1_0")), False),
+    ("underscore-digits", text_of(edit("avg_contracted_kw", "1_0")), True),
     ("underscore-in-n_k", text_of(edit("n_k", "0_1")), True),
-    ("decimal-n_k", text_of(edit("n_k", "1.0")), False),
+    ("decimal-n_k", text_of(edit("n_k", "1.0")), True),
     ("huge-exponent", text_of(edit("avg_contracted_kw", "1e400")), True),
     ("nan-kpi", text_of(edit("d_k", "nan")), True),
     ("negative-zero-kpi", text_of(edit("e_k", "-0.0")), True),
     ("smallest-subnormal", text_of(edit("avg_demand_kwh", "5e-324")), True),
     ("negative-power", text_of(edit("avg_demand_kwh", "-1")), True),
     ("profile-sum-overflow", text_of(profile("1.5e307")), True),
-    ("empty-kpi-cell", text_of(edit("e_k", "")), False),
-    ("empty-power-cell", text_of(edit("avg_contracted_kw", "")), False),
-    ("extra-field", text_of(extra_field), False),
-    ("missing-field", text_of(missing_field), False),
+    ("empty-kpi-cell", text_of(edit("e_k", "")), True),
+    ("empty-power-cell", text_of(edit("avg_contracted_kw", "")), True),
+    ("extra-field", text_of(extra_field), True),
+    ("missing-field", text_of(missing_field), True),
     ("duplicate-pair", text_of(duplicate), True),
     ("non-ascii-key", text_of(edit("location", "Łódź")), True),
     ("n_k-zero", text_of(edit("n_k", "0")), True),
     ("n_k-at-bound", text_of(edit("n_k", str(pairing.MAX_PAIR_SIZE))), True),
     ("n_k-past-bound", text_of(edit("n_k", "1000000000000")), True),
-    ("n_k-past-int64", text_of(edit("n_k", "99999999999999999999")), False),
+    ("n_k-past-int64", text_of(edit("n_k", "99999999999999999999")), True),
 ]
 
 
@@ -260,21 +282,49 @@ PAIR_CASES = [
 @pytest.mark.parametrize("with_dataset", [False, True])
 @pytest.mark.parametrize("name,build,plain", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
 def test_pair_readers_agree(tmp_path, monkeypatch, pair_rows, block, with_dataset, name, build, plain):
-    monkeypatch.setattr(model, "_BLOCK", block)
-    monkeypatch.setattr(pairing, "_BLOCK", block)
+    set_block(monkeypatch, block)
+    csv_reads = csv_tokenizer_calls(monkeypatch)
     cells, dataset = pair_rows
     data = dataset if with_dataset else None
     path = tmp_path / "pairs.csv"
     path.write_bytes(build(cells).encode("utf-8"))
-    assert is_plain(pairing._plain_pair_blocks, path) == plain
-    assert outcome(read_pair_table, path, data) == outcome(pairing._read_pair_rows, path, data)
+    assert outcome(read_pair_table, path, data) == outcome(reader_oracle._read_pair_rows, path, data)
+    assert csv_reads == ([] if plain else [path])
 
 
-# -- the bulk path runs on the files the package writes ---------------------
+def malformed_last_cell(rows):
+    rows[-1][-1] = "x"
+    return rows
 
 
-def refuse_row_reader(*args):
-    raise AssertionError("the row reader ran on a file the package wrote")
+@pytest.mark.parametrize(
+    "read,referee,build",
+    [
+        (load_customers, reader_oracle._read_customer_rows, lambda cells: customer_file(*ROWS, customer("  "))),
+        (load_customers, reader_oracle._read_customer_rows, lambda cells: customer_file(*ROWS, customer("N", kw="-1"))),
+        (load_customers, reader_oracle._read_customer_rows, lambda cells: customer_file(*ROWS, customer("B"))),
+        (read_pair_table, functools.partial(reader_oracle._read_pair_rows, dataset=None), text_of(malformed_last_cell)),
+    ],
+    ids=["empty-id", "negative", "repeated-id", "malformed-pair-cell"],
+)
+def test_bad_last_row_is_tokenized_once(tmp_path, monkeypatch, pair_rows, read, referee, build):
+    monkeypatch.setattr(model, "_BLOCK", 2)
+    refuse_csv_tokenizer(monkeypatch)
+    calls = []
+    plain_blocks = model._plain_blocks
+
+    def counted(*args):
+        calls.append(args)
+        yield from plain_blocks(*args)
+
+    monkeypatch.setattr(model, "_plain_blocks", counted)
+    path = tmp_path / "data.csv"
+    path.write_text(build(pair_rows[0]))
+    assert outcome(read, path) == outcome(referee, path)
+    assert len(calls) == 1
+
+
+# -- the plain splitter tokenizes the files the package writes ------------
 
 
 def test_saved_customers_are_read_in_bulk(tmp_path, monkeypatch, mid_run):
@@ -282,7 +332,7 @@ def test_saved_customers_are_read_in_bulk(tmp_path, monkeypatch, mid_run):
     path = tmp_path / "customers.csv"
     save_customers(dataset, path)
     assert b"\r\n" in path.read_bytes()
-    monkeypatch.setattr(model, "_read_customer_rows", refuse_row_reader)
+    refuse_csv_tokenizer(monkeypatch)
     loaded = load_customers(path)
     assert loaded.ids == dataset.ids
     assert loaded.raw_demand.tobytes() == dataset.raw_demand.tobytes()
@@ -294,7 +344,7 @@ def test_written_pair_table_is_read_in_bulk(tmp_path, monkeypatch, mid_run):
     path = tmp_path / "pairs.csv"
     write_pair_table(table, path)
     assert b"\r\n" in path.read_bytes()
-    monkeypatch.setattr(pairing, "_read_pair_rows", refuse_row_reader)
+    refuse_csv_tokenizer(monkeypatch)
     loaded = read_pair_table(path, dataset)
     assert loaded.member_rows.tobytes() == table.member_rows.tobytes()
     assert loaded.d_k.tobytes() == table.d_k.tobytes()

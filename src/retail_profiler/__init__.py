@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from retail_profiler.model import (
     CustomerDataset,
     DataError,
-    PairKey,
     TargetProfile,
     load_customers,
     normalize_profile,
@@ -44,7 +43,7 @@ from retail_profiler.simulate import (
     random_sequence,
     reduction_curve,
 )
-from retail_profiler.synth import SynthConfig, generate
+from retail_profiler.synth import PairKey, SynthConfig, generate
 
 __all__ = [
     "__version__",

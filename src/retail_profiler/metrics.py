@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from retail_profiler import kernels
-from retail_profiler.model import MONTHS, CustomerDataset, DataError, PairKey
+from retail_profiler.model import MONTHS, CustomerDataset, DataError
 
 __all__ = [
     "DegenerateReferenceError",
@@ -62,28 +62,26 @@ def median_distance(distances) -> float:
 def member_distances(dataset: CustomerDataset, resolver) -> np.ndarray:
     """Distance of each row's shape to its pair's target, one float64 per dataset row.
 
-    Rows outside every pair (no key, or zero demand) hold NaN. The walk over
-    ``dataset.pair_groups`` calls the resolver once per pair key, and members
-    sharing a target profile are batched into a single kernel pass, so the
-    common single-target and per-province cases never materialize a
-    per-customer target matrix.
+    Rows outside every pair (no key, or zero demand) hold NaN. The resolver
+    is called once per distinct location of ``dataset.pair_groups``, in order
+    of first appearance, and members sharing a target profile are batched
+    into a single kernel pass, so the common single-target and per-province
+    cases never materialize a per-customer target matrix.
     """
     groups = dataset.pair_groups
+    locations, first = np.unique(groups.location, return_index=True)
     targets: dict[int, tuple[int, object]] = {}
-    target_of = np.empty(len(groups.nace), dtype=np.intp)
-    for g, key in enumerate(map(PairKey, groups.nace, groups.location)):
-        target = resolver(key)
+    target_of = np.empty(len(groups.locations), dtype=np.intp)
+    for location in locations[np.argsort(first)].tolist():
+        target = resolver(groups.locations[location])
         # the dict keeps each target alive, so its id stays unique while grouping
-        target_of[g] = targets.setdefault(id(target), (len(targets), target))[0]
-    member_target = np.repeat(target_of, np.diff(groups.offsets))
+        target_of[location] = targets.setdefault(id(target), (len(targets), target))[0]
+    member_target = np.repeat(target_of[groups.location], np.diff(groups.offsets))
     by_target = groups.rows[np.argsort(member_target, kind="stable")]
-    bounds = np.cumsum(np.bincount(member_target, minlength=len(targets)))
+    bounds = np.cumsum(np.bincount(member_target, minlength=len(targets)))[:-1]
     distances = np.full(len(dataset), np.nan)
-    lo = 0
-    for (_, target), hi in zip(targets.values(), bounds.tolist()):
-        rows = by_target[lo:hi]
+    for (_, target), rows in zip(targets.values(), np.split(by_target, bounds)):
         distances[rows] = kernels.normalized_rmsd(dataset.raw_demand, rows, target.values)
-        lo = hi
     return distances
 
 

@@ -3,7 +3,8 @@
 A dataset is stored column-wise (id/nace/location tuples plus numpy arrays for
 contracted power and the 12 monthly demands) so that downstream passes stream
 over millions of rows without materializing per-row objects; the rest of the
-package refers to customers by row index.
+package refers to customers by row index, and to a nace or location by its
+code: its rank in the sorted vocabulary of the column (see :func:`factorize`).
 
 Normalization convention: a demand profile is divided by the arithmetic mean
 of its 12 monthly values, so every normalized profile (and every target) has
@@ -15,9 +16,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +52,6 @@ class DuplicateIdError(DataError):
 
 class ZeroDemandError(DataError):
     """A profile with zero total demand cannot be normalized."""
-
-
-class PairKey(NamedTuple):
-    """Activity-sector x location group key."""
-
-    nace: str
-    location: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,12 +100,16 @@ def normalize_profile(raw) -> np.ndarray:
 class PairGroups:
     """Rows grouped by pair key, groups in (nace, location) order.
 
-    Group g is the pair ``(nace[g], location[g])``; its members are
-    ``rows[offsets[g]:offsets[g + 1]]``, row indices into one dataset.
+    Group g is the pair ``(naces[nace[g]], locations[location[g]])``, where
+    ``naces`` and ``locations`` are the sorted vocabularies the codes index;
+    its members are ``rows[offsets[g]:offsets[g + 1]]``, row indices into one
+    dataset.
     """
 
-    nace: tuple[str, ...]
-    location: tuple[str, ...]
+    nace: np.ndarray
+    location: np.ndarray
+    naces: tuple[str, ...]
+    locations: tuple[str, ...]
     offsets: np.ndarray
     rows: np.ndarray
 
@@ -178,12 +175,16 @@ class CustomerDataset:
         return len(self.ids)
 
     @cached_property
+    def _factorized(self) -> tuple[tuple[tuple[str, ...], np.ndarray], ...]:
+        """The :func:`factorize` of the nace column and of the location column."""
+        return factorize(self.nace), factorize(self.location)
+
+    @cached_property
     def has_keys_mask(self) -> np.ndarray:
-        mask = np.fromiter(
-            (bool(a) and bool(b) for a, b in zip(self.nace, self.location)),
-            dtype=bool,
-            count=len(self.ids),
-        )
+        mask = np.ones(len(self.ids), dtype=bool)
+        for vocabulary, codes in self._factorized:
+            if vocabulary[:1] == ("",):  # "" sorts first, so its code is 0
+                mask &= codes > 0
         mask.setflags(write=False)
         return mask
 
@@ -200,13 +201,9 @@ class CustomerDataset:
         return mask
 
     @property
-    def with_pair_keys(self) -> int:
-        return int(self.has_keys_mask.sum())
-
-    @property
     def excluded(self) -> int:
         """Rows kept in the totals but barred from pairing (missing nace/location)."""
-        return self.total - self.with_pair_keys
+        return self.total - int(self.has_keys_mask.sum())
 
     @property
     def zero_demand_count(self) -> int:
@@ -246,36 +243,34 @@ class CustomerDataset:
         Each group lists its rows in customer-id order, so member order (and
         every seeded shuffle of it) does not depend on the input row order.
         """
+        (naces, nace), (locations, location) = self._factorized
         rows = np.array(sorted(self.pairable_indices.tolist(), key=self.ids.__getitem__), dtype=np.intp)
-        nace = np.asarray(self.nace, dtype=object)[rows]
-        location = np.asarray(self.location, dtype=object)[rows]
-        order, new_key = pair_order(nace, location)
-        starts = np.flatnonzero(new_key)
+        key = pair_codes(nace[rows], location[rows], locations)
+        order = np.argsort(key, kind="stable")
+        rows, key = rows[order], key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))  # where a new key begins
         offsets = np.append(starts, rows.size)
-        rows = rows[order]
         rows.setflags(write=False)
         offsets.setflags(write=False)
-        first = order[starts]
-        return PairGroups(tuple(nace[first].tolist()), tuple(location[first].tolist()), offsets, rows)
+        first = rows[starts]
+        return PairGroups(nace[first], location[first], naces, locations, offsets, rows)
 
 
-def _codes(column) -> np.ndarray:
-    """Each value's rank among the distinct values of a string column."""
-    index = {value: code for code, value in enumerate(sorted(set(column)))}
-    return np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
+def factorize(column) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values of a string column, and each value's code: its rank among them."""
+    vocabulary = tuple(sorted(set(column)))
+    return vocabulary, encode(column, vocabulary)
 
 
-def pair_order(nace, location) -> tuple[np.ndarray, np.ndarray]:
-    """Stable row order by (nace, location): rows sharing a key keep their order.
+def encode(column, vocabulary: tuple[str, ...]) -> np.ndarray:
+    """Each value's code in a sorted vocabulary, or -1 for a value it lacks."""
+    index = {value: code for code, value in enumerate(vocabulary)}
+    return np.fromiter(map(index.get, column, repeat(-1)), dtype=np.intp, count=len(column))
 
-    Also returns the mask of the sorted positions that start a new key.
-    """
-    nace_code, location_code = _codes(nace), _codes(location)
-    order = np.lexsort((location_code, nace_code))
-    nace_code, location_code = nace_code[order], location_code[order]
-    new_key = np.ones(order.size, dtype=bool)
-    new_key[1:] = (nace_code[1:] != nace_code[:-1]) | (location_code[1:] != location_code[:-1])
-    return order, new_key
+
+def pair_codes(nace: np.ndarray, location: np.ndarray, locations: tuple[str, ...]) -> np.ndarray:
+    """One code per (nace, location) code pair, ordered as the pairs are."""
+    return nace * len(locations) + location
 
 
 # Lines of a CSV file parsed or formatted at a time.

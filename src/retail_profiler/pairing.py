@@ -12,7 +12,6 @@ import csv
 import math
 import re
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -32,14 +31,16 @@ from retail_profiler.model import (
     CustomerDataset,
     DataError,
     PairGroups,
-    PairKey,
     SchemaError,
     _BLOCK,
     _csv_rows,
     _read_csv,
+    encode,
+    factorize,
     format_float,
-    pair_order,
+    pair_codes,
 )
+from retail_profiler.synth import PairKey
 
 PAIR_TABLE_HEADER = (
     "nace",
@@ -65,18 +66,22 @@ NACE_MAP_HEADER = ("nace", "division")
 class PairTable:
     """Immutable pair table held as columns, one entry per pair in (nace, location) order.
 
-    ``profiles`` is the read-only ``k x 12`` matrix of pair profiles. The KPI
-    columns ``d_k``, ``e_k`` and ``E_k`` are None until :func:`attach_kpis`
-    runs, which also records the reference distance ``d_star`` they were
-    computed against; a table read from CSV holds NaN for an empty KPI cell
-    and no ``d_star``. Pair p's members are rows of ``dataset`` in
-    customer-id order, concatenated pair after pair in ``member_rows`` (see
-    :attr:`groups`); ``member_rows`` is None for a table loaded without
-    customer data.
+    Pair p is ``(naces[nace[p]], locations[location[p]])``: its key columns
+    are codes into the sorted vocabularies ``naces`` and ``locations``, those
+    of ``dataset`` for a table built or read with one. ``profiles`` is the
+    read-only ``k x 12`` matrix of pair profiles. The KPI columns ``d_k``,
+    ``e_k`` and ``E_k`` are None until :func:`attach_kpis` runs, which also
+    records the reference distance ``d_star`` they were computed against; a
+    table read from CSV holds NaN for an empty KPI cell and no ``d_star``.
+    Pair p's members are rows of ``dataset`` in customer-id order,
+    concatenated pair after pair in ``member_rows`` (see :attr:`groups`);
+    ``member_rows`` is None for a table loaded without customer data.
     """
 
-    nace: tuple[str, ...]
-    location: tuple[str, ...]
+    nace: np.ndarray
+    location: np.ndarray
+    naces: tuple[str, ...]
+    locations: tuple[str, ...]
     n_k: np.ndarray
     profiles: np.ndarray
     avg_contracted: np.ndarray
@@ -89,13 +94,18 @@ class PairTable:
     dataset: CustomerDataset | None = None
 
     def __post_init__(self):
-        for column in (self.n_k, self.profiles, self.avg_contracted, self.avg_demand,
-                       self.d_k, self.e_k, self.E_k, self.member_rows):
+        for column in (self.nace, self.location, self.n_k, self.profiles, self.avg_contracted,
+                       self.avg_demand, self.d_k, self.e_k, self.E_k, self.member_rows):
             if column is not None:
                 column.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.nace)
+
+    def keys(self) -> list[tuple[str, str]]:
+        """Each pair's (nace, location) strings, in table order."""
+        codes = zip(self.nace.tolist(), self.location.tolist())
+        return [(self.naces[nace], self.locations[location]) for nace, location in codes]
 
     @property
     def groups(self) -> PairGroups:
@@ -103,7 +113,7 @@ class PairTable:
         if self.dataset is None or self.member_rows is None:
             raise ValueError("pair table carries no customer data; rebuild or reload with a dataset")
         offsets = np.concatenate(([0], np.cumsum(self.n_k)))
-        return PairGroups(self.nace, self.location, offsets, self.member_rows)
+        return PairGroups(self.nace, self.location, self.naces, self.locations, offsets, self.member_rows)
 
     @property
     def has_kpis(self) -> bool:
@@ -131,6 +141,8 @@ def build_pairs(dataset: CustomerDataset) -> PairTable:
     return PairTable(
         nace=groups.nace,
         location=groups.location,
+        naces=groups.naces,
+        locations=groups.locations,
         n_k=counts,
         profiles=profiles,
         avg_contracted=_pair_means(dataset.contracted_kw[groups.rows], starts, counts),
@@ -239,7 +251,7 @@ def identification_stats(table: PairTable) -> IdentificationStats:
             n: sum(s * c for s, c in histogram.items() if s <= n) for n in thresholds
         },
         nonempty_pair_count=len(table),
-        total_pair_space=len(set(table.nace)) * len(set(table.location)),
+        total_pair_space=np.unique(table.nace).size * np.unique(table.location).size,
     )
 
 
@@ -273,41 +285,33 @@ def aggregate_matrix(
     diagnostics.
     """
     distances, d_star = _kpi_distances(table, resolver)
+    provinces, province = _mapped(province_of, table.locations)
+    divisions, division = _mapped(division_of, table.naces)
+    province, division = province[table.location], division[table.nace]
+    diagnostics = [
+        f"location {table.locations[table.location[p]]!r} has no province mapping; pair excluded"
+        if province[p] < 0
+        else f"nace {table.naces[table.nace[p]]!r} has no division mapping; pair excluded"
+        for p in np.flatnonzero((province < 0) | (division < 0)).tolist()
+    ]
 
-    # pool each pair's member distances into its (province, division) cell
-    cells: dict[tuple[str, str], int] = {}
-    cell_of = np.full(len(table), -1, dtype=np.intp)
-    diagnostics: list[str] = []
-    for p, (nace, location) in enumerate(zip(table.nace, table.location)):
-        try:
-            province = province_of(location)
-        except KeyError:
-            diagnostics.append(f"location {location!r} has no province mapping; pair excluded")
-            continue
-        try:
-            division = division_of(nace)
-        except KeyError:
-            diagnostics.append(f"nace {nace!r} has no division mapping; pair excluded")
-            continue
-        cell_of[p] = cells.setdefault((province, division), len(cells))
-    member_cell = np.repeat(cell_of, table.n_k)
-    pooled = member_cell >= 0
-    medians = _medians(distances[pooled], member_cell[pooled], len(cells))
-
-    provinces = tuple(sorted({p for p, _ in cells}))
-    divisions = tuple(sorted({d for _, d in cells}))
-    p_index = {p: i for i, p in enumerate(provinces)}
-    d_index = {d: j for j, d in enumerate(divisions)}
-    at = ([p_index[p] for p, _ in cells], [d_index[d] for _, d in cells])
-    values = np.full((len(provinces), len(divisions)), np.nan)
-    counts = np.zeros((len(provinces), len(divisions)), dtype=np.int64)
-    counts[at] = np.bincount(member_cell[pooled], minlength=len(cells))
-    values[at] = [eid(1.0 - m / d_star) for m in medians.tolist()]
+    # pool each mapped pair's member distances into its (province, division) cell;
+    # the grid lists only the provinces and divisions of mapped pairs
+    mapped = (province >= 0) & (division >= 0)
+    rows, row = np.unique(province[mapped], return_inverse=True)
+    columns, column = np.unique(division[mapped], return_inverse=True)
+    cells, cell = np.unique(row * columns.size + column, return_inverse=True)  # in the flattened grid
+    member_cell = np.repeat(cell, table.n_k[mapped])
+    medians = _medians(distances[np.repeat(mapped, table.n_k)], member_cell, cells.size)
+    values = np.full((rows.size, columns.size), np.nan)
+    counts = np.zeros((rows.size, columns.size), dtype=np.int64)
+    counts.flat[cells] = np.bincount(member_cell, minlength=cells.size)
+    values.flat[cells] = [eid(1.0 - m / d_star) for m in medians.tolist()]
     values.setflags(write=False)
     counts.setflags(write=False)
     return IndicatorMatrix(
-        provinces=provinces,
-        divisions=divisions,
+        provinces=tuple(map(provinces.__getitem__, rows.tolist())),
+        divisions=tuple(map(divisions.__getitem__, columns.tolist())),
         values=values,
         counts=counts,
         diagnostics=tuple(diagnostics),
@@ -315,6 +319,19 @@ def aggregate_matrix(
 
 
 # -- mappings ---------------------------------------------------------------
+
+
+def _mapped(mapper: Callable[[str], str], vocabulary: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted values ``mapper`` gives the entries, and each entry's code among them (-1 for a KeyError)."""
+    values = []
+    for entry in vocabulary:
+        try:
+            values.append(mapper(entry))
+        except KeyError:
+            values.append(None)
+    mapped = tuple(sorted(set(values) - {None}))
+    return mapped, encode(values, mapped)
+
 
 _ALNUM_PREFIX = re.compile(r"[A-Za-z0-9]+")
 
@@ -336,13 +353,18 @@ def default_division(nace: str) -> str:
 
 
 def load_mapping(path, header: tuple[str, str]) -> dict[str, str]:
-    """Read a two-column code mapping CSV with the given header."""
+    """Read a two-column code mapping CSV with the given header; a code maps once."""
     path = Path(path)
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line, row in _csv_rows(path, header):
         if len(row) != 2:
             raise SchemaError(f"{path}: line {line}: expected 2 fields")
-        mapping[row[0].strip()] = row[1].strip()
+        code = row[0].strip()
+        if code in mapping:
+            raise DataError(f"{path}: line {line}: {header[0]} {code!r} duplicates line {first_line[code]}")
+        mapping[code] = row[1].strip()
+        first_line[code] = line
     return mapping
 
 
@@ -351,6 +373,7 @@ def load_mapping(path, header: tuple[str, str]) -> dict[str, str]:
 
 def write_pair_table(table: PairTable, path) -> None:
     path = Path(path)
+    keys = table.keys()
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PAIR_TABLE_HEADER)
@@ -358,15 +381,15 @@ def write_pair_table(table: PairTable, path) -> None:
             block = slice(lo, lo + _BLOCK)
             # an unset KPI column, or an empty cell read back as NaN, writes as ""
             kpis = [
-                [""] * len(table.nace[block]) if column is None
+                [""] * len(keys[block]) if column is None
                 else ["" if math.isnan(v) else format_float(v) for v in column[block].tolist()]
                 for column in (table.d_k, table.e_k, table.E_k)
             ]
             writer.writerows(
                 [nace, location, n_k, format_float(kw), format_float(kwh), d, e, E]
                 + list(map(format_float, profile))
-                for nace, location, n_k, kw, kwh, d, e, E, profile in zip(
-                    table.nace[block], table.location[block], table.n_k[block].tolist(),
+                for (nace, location), n_k, kw, kwh, d, e, E, profile in zip(
+                    keys[block], table.n_k[block].tolist(),
                     table.avg_contracted[block].tolist(), table.avg_demand[block].tolist(),
                     *kpis, table.profiles[block].tolist(),
                 )
@@ -394,9 +417,11 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
     empty KPI cell parses as NaN.
     """
     columns = [(
-        np.empty(0, dtype=np.int64), np.empty(0, dtype=object), np.empty(0, dtype=object),
-        np.empty(0, dtype=np.int64), np.empty((0, len(PAIR_TABLE_HEADER) - 3)), np.empty((0, 3), dtype=bool),
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+        np.empty((0, len(PAIR_TABLE_HEADER) - 3)), np.empty((0, 3), dtype=bool),
     )]
+    naces: list[str] = []
+    locations: list[str] = []
     error = None
     for lines, (nace, location, n_k_cells), values, errors in blocks:
         n = lines.size
@@ -423,25 +448,23 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
                 error = DataError(f"{path}: line {lines[i]}: malformed numeric field ({exc})")
                 break
         n = i if error is not None else n
-        columns.append((
-            lines[:n],
-            np.array([cell.strip() for cell in nace[:n]], dtype=object),
-            np.array([cell.strip() for cell in location[:n]], dtype=object),
-            n_k[:n],
-            values[:n],
-            empty[:n],
-        ))
+        naces += map(str.strip, nace[:n])
+        locations += map(str.strip, location[:n])
+        columns.append((lines[:n], n_k[:n], values[:n], empty[:n]))
         if error is not None:
             break
-    lines, nace, location, n_k, values, empty = map(np.concatenate, zip(*columns))
+    lines, n_k, values, empty = map(np.concatenate, zip(*columns))
     kpis, profiles = values[:, 2:5], values[:, 5:]
-    order, new_key = pair_order(nace, location)
+    (naces, nace), (locations, location) = factorize(naces), factorize(locations)
+    codes = pair_codes(nace, location, locations)
+    order = np.argsort(codes, kind="stable")
     # each later row of a repeated key points at the row before it
+    repeated = np.diff(codes[order]) == 0
     earlier = np.full(n_k.size, -1, dtype=np.intp)
-    earlier[order[1:][~new_key[1:]]] = order[:-1][~new_key[1:]]
+    earlier[order[1:][repeated]] = order[:-1][repeated]
 
     def key(i: int) -> PairKey:
-        return PairKey(nace[i], location[i])
+        return PairKey._make((naces[nace[i]], locations[location[i]]))
 
     finite = np.isfinite(profiles).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -454,8 +477,12 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
     ]
     if dataset is not None:
         groups = dataset.pair_groups
-        index = {k: g for g, k in enumerate(zip(groups.nace, groups.location))}
-        group = np.fromiter(map(index.get, zip(nace, location), repeat(-1)), dtype=np.intp, count=n_k.size)
+        # the rows' codes into the dataset's vocabularies, -1 for a string it lacks
+        nace_in, location_in = encode(naces, groups.naces)[nace], encode(locations, groups.locations)[location]
+        group_key = pair_codes(groups.nace, groups.location, groups.locations)
+        row_key = pair_codes(nace_in, location_in, groups.locations)
+        group = np.searchsorted(group_key, row_key)
+        group[(nace_in < 0) | (location_in < 0) | (np.append(group_key, -1)[group] != row_key)] = -1
         sizes = np.append(np.diff(groups.offsets), 0)[group]  # an unknown pair reads the 0
         checks.append((group < 0, lambda i: f"pair {key(i)} not present in the customer data"))
         checks.append((
@@ -482,9 +509,13 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
     if error is not None:
         raise error
     kpi = [None if empty[:, j].all() else kpis[order, j] for j in range(3)]
+    if dataset is not None:  # every row found its group, so the table shares the dataset's vocabularies
+        nace, location, naces, locations = nace_in, location_in, groups.naces, groups.locations
     return PairTable(
-        nace=tuple(nace[order].tolist()),
-        location=tuple(location[order].tolist()),
+        nace=nace[order],
+        location=location[order],
+        naces=naces,
+        locations=locations,
         n_k=n_k[order],
         profiles=profiles[order],
         avg_contracted=values[order, 0],

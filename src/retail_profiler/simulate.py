@@ -160,14 +160,14 @@ def power_sequence(
         raise ValueError(f"power key must be 'contracted' or 'demanded', got {key!r}")
     if per_customer:
         dataset = _member_dataset(table)
-        idx = table.member_rows
+        # in id order first, so the stable power sort breaks ties by Python string order
+        idx = np.array(sorted(table.member_rows.tolist(), key=dataset.ids.__getitem__), dtype=np.intp)
         power = (
             dataset.contracted_kw[idx]
             if key == "contracted"
             else dataset.raw_demand[idx].mean(axis=1)
         )
-        ids = np.array([dataset.ids[i] for i in idx.tolist()])
-        rows = idx[np.lexsort((ids, -power))]
+        rows = idx[np.argsort(-power, kind="stable")]
         return AcquisitionSequence(rows=rows, dataset=dataset, strategy=key, seed=seed)
     power = table.avg_contracted if key == "contracted" else table.avg_demand
     return _pair_ordered_sequence(table, power, key, seed)

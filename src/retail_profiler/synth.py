@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from retail_profiler.model import (
     MONTHS,
     CustomerDataset,
     DataError,
-    PairKey,
     TargetProfile,
     _csv_rows,
 )
@@ -115,6 +115,13 @@ class SynthConfig:
         data["amplitude_range"] = list(self.amplitude_range)
         data["sector_noise_range"] = list(self.sector_noise_range)
         return data
+
+
+class PairKey(NamedTuple):
+    """Activity-sector x location group key, as the ground truth names a pair."""
+
+    nace: str
+    location: str
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,9 @@
 """Target-profile construction: flat, solar-shaped, and complement-of-aggregate.
 
 All constructors return unit-mean :class:`TargetProfile` objects. Per-group
-targets are expressed through a resolver callable (pair key -> target), so a
+targets are expressed through a resolver callable (location -> target), so a
 single global target and a per-province solar table use the same downstream
-machinery.
+machinery; it is called once per distinct location of the pairs.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from retail_profiler.model import (
     MONTH_COLUMNS,
     MONTHS,
     DataError,
-    PairKey,
     SchemaError,
     TargetProfile,
     _csv_rows,
 )
 
-TargetResolver = Callable[[PairKey], TargetProfile]
+TargetResolver = Callable[[str], TargetProfile]
 
 SOLAR_TABLE_HEADER = ("province",) + MONTH_COLUMNS
 
@@ -162,16 +161,16 @@ def default_solar_target(amplitude: float = DEFAULT_SOLAR_AMPLITUDE) -> TargetPr
 
 
 def constant_resolver(target: TargetProfile) -> TargetResolver:
-    """Resolver assigning the same target to every pair."""
+    """Resolver assigning the same target to every location."""
 
-    def resolve(pair: PairKey) -> TargetProfile:
+    def resolve(location: str) -> TargetProfile:
         return target
 
     return resolve
 
 
 def solar_resolver(table: SolarTable, province_of: Callable[[str], str]) -> TargetResolver:
-    """Resolver mapping a pair to its province's solar target.
+    """Resolver mapping a location to its province's solar target.
 
     Targets are built once per province and cached; ``province_of`` maps a
     location code to a province code, raising KeyError for an unmapped one,
@@ -179,11 +178,11 @@ def solar_resolver(table: SolarTable, province_of: Callable[[str], str]) -> Targ
     """
     cache: dict[str, TargetProfile] = {}
 
-    def resolve(pair: PairKey) -> TargetProfile:
+    def resolve(location: str) -> TargetProfile:
         try:
-            province = province_of(pair.location)
+            province = province_of(location)
         except KeyError:
-            raise DataError(f"location {pair.location!r} has no province mapping") from None
+            raise DataError(f"location {location!r} has no province mapping") from None
         got = cache.get(province)
         if got is None:
             got = cache[province] = solar_target(province, table)

@@ -4,6 +4,8 @@ They read every file with ``csv.reader``, one row at a time, and stay here as
 the referee that ``tests/test_readers.py`` holds ``load_customers`` and
 ``read_pair_table`` to: same columns, same diagnostics, same errors. They
 read ``_BLOCK`` from this module, so a test can shrink their blocks too.
+Their pair tables join and order the keys as strings, and only encode them
+as codes at the end, into the vocabularies the package's tables carry.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from retail_profiler.model import (
     CustomerDataset,
     DataError,
     DuplicateIdError,
-    PairKey,
     SchemaError,
-    pair_order,
 )
 from retail_profiler.pairing import MAX_PAIR_SIZE, PAIR_TABLE_HEADER, PairTable
+from retail_profiler.synth import PairKey
 
 _BLOCK = 4096
 
@@ -172,6 +173,31 @@ def _parse_block(rows: list[list[str]], lines: list[int], path: Path, blocks: li
     return error
 
 
+def _codes(column) -> np.ndarray:
+    """Each value's rank among the distinct values of a string column."""
+    index = {value: code for code, value in enumerate(sorted(set(column)))}
+    return np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
+
+
+def pair_order(nace, location) -> tuple[np.ndarray, np.ndarray]:
+    """Stable row order by (nace, location): rows sharing a key keep their order.
+
+    Also returns the mask of the sorted positions that start a new key.
+    """
+    nace_code, location_code = _codes(nace), _codes(location)
+    order = np.lexsort((location_code, nace_code))
+    nace_code, location_code = nace_code[order], location_code[order]
+    new_key = np.ones(order.size, dtype=bool)
+    new_key[1:] = (nace_code[1:] != nace_code[:-1]) | (location_code[1:] != location_code[:-1])
+    return order, new_key
+
+
+def _encoded(column, vocabulary: tuple[str, ...]) -> np.ndarray:
+    """The codes of a string column in a sorted vocabulary."""
+    index = {value: code for code, value in enumerate(vocabulary)}
+    return np.array([index[value] for value in column], dtype=np.intp)
+
+
 def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) -> PairTable:
     """The pair table of the parsed rows; raises a DataError for the first failing line."""
     lines, nace, location, n_k, values, empty = map(np.concatenate, zip(*blocks))
@@ -195,7 +221,8 @@ def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) ->
     ]
     if dataset is not None:
         groups = dataset.pair_groups
-        index = {k: g for g, k in enumerate(zip(groups.nace, groups.location))}
+        keys = zip(map(groups.naces.__getitem__, groups.nace), map(groups.locations.__getitem__, groups.location))
+        index = {k: g for g, k in enumerate(keys)}
         group = np.fromiter(map(index.get, zip(nace, location), repeat(-1)), dtype=np.intp, count=n_k.size)
         sizes = np.append(np.diff(groups.offsets), 0)[group]  # an unknown pair reads the 0
         checks.append((group < 0, lambda i: f"pair {key(i)} not present in the customer data"))
@@ -221,9 +248,15 @@ def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) ->
         message = next(message for mask, message in checks if mask[i])
         raise DataError(f"{path}: line {lines[i]}: {message(i)}")
     kpi = [None if empty[:, j].all() else kpis[order, j] for j in range(3)]
+    if dataset is None:
+        naces, locations = tuple(sorted(set(nace))), tuple(sorted(set(location)))
+    else:
+        naces, locations = groups.naces, groups.locations
     return PairTable(
-        nace=tuple(nace[order].tolist()),
-        location=tuple(location[order].tolist()),
+        nace=_encoded(nace[order], naces),
+        location=_encoded(location[order], locations),
+        naces=naces,
+        locations=locations,
         n_k=n_k[order],
         profiles=profiles[order],
         avg_contracted=values[order, 0],

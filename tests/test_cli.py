@@ -163,6 +163,24 @@ class TestExitCodes:
         assert f"location {location!r} has no province mapping" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag", ["--location-map", "--nace-map", "solar"])
+    def test_repeated_mapping_key_is_two(self, workspace, tmp_path, flag):
+        dataset = load_customers(workspace / "data" / "customers.csv")
+        header, code = ("nace", dataset.nace[0]) if flag == "--nace-map" else ("location", dataset.location[0])
+        mapping = tmp_path / "map.csv"
+        mapping.write_text(f"{header},{'division' if header == 'nace' else 'province'}\n{code},P01\n{code},P02\n")
+        customers = workspace / "data" / "customers.csv"
+        if flag == "solar":
+            table = tmp_path / "T.csv"
+            table.write_text(SOLAR_HEADER + "\nP01" + ",1" * 12 + "\nP02" + ",1" * 12 + "\n")
+            args = ["pairs", "--customers", str(customers), "--target", f"solar:{table},{mapping}"]
+        else:
+            args = ["matrix", "--pairs", str(workspace / "kpis" / "pairs.csv"), "--customers", str(customers),
+                    flag, str(mapping), "--target", "flat"]
+        proc = run_cli(*args, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {mapping}: line 3: {header} {code!r} duplicates line 2\n"
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -205,8 +223,7 @@ class TestPairs:
         resolver = targets.constant_resolver(target)
         recomputed = pairing.attach_kpis(pairing.build_pairs(dataset), resolver)
         assert len(table) == len(recomputed)
-        assert table.nace == recomputed.nace
-        assert table.location == recomputed.location
+        assert table.keys() == recomputed.keys()
         for column in ("n_k", "d_k", "e_k", "E_k", "avg_contracted", "avg_demand"):
             assert np.array_equal(getattr(table, column), getattr(recomputed, column)), column
 

@@ -1,0 +1,155 @@
+"""CLI fuzz: mutated key cells never crash ``pairs``, ``stats`` or ``matrix``.
+
+Each example mutates one cell of one tiny input file: a key cell of the
+customers, pair-table or mapping CSV, or one numeric cell. The three commands
+then run in fresh interpreters, each with a timeout, and must exit 0 or 2
+without a traceback or a numpy RuntimeWarning on stderr. The examples are
+derandomized and never read from or saved to the example database, so a
+run tests the same inputs everywhere.
+"""
+
+from __future__ import annotations
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import retail_profiler
+from retail_profiler import pairing, targets
+from retail_profiler.model import CUSTOMER_CSV_HEADER
+from tests.conftest import offset_demand
+
+TIMEOUT_S = 30
+
+CUSTOMERS = [CUSTOMER_CSV_HEADER] + [
+    [cid, nace, location, "2.5"] + [repr(v) for v in offset_demand(100, swing)]
+    for cid, nace, location, swing in [
+        ("C1", "N1", "P1-M1", 10), ("C2", "N1", "P1-M1", 20), ("C3", "N2", "P2-M1", 30),
+        ("C4", "N2", "P1-M2", 40), ("C5", "N3", "P2-M2", 5), ("C6", "N3", "P2-M2", 15),
+    ]
+]
+LOCATION_MAP = [pairing.LOCATION_MAP_HEADER, ("P1-M1", "P1"), ("P1-M2", "P1"), ("P2-M1", "P2"), ("P2-M2", "P2")]
+NACE_MAP = [pairing.NACE_MAP_HEADER, ("N1", "D1"), ("N2", "D1"), ("N3", "D2")]
+SOLAR = [targets.SOLAR_TABLE_HEADER, ["P1"] + ["1"] * 6 + ["2"] * 6, ["P2"] + ["2"] * 6 + ["1"] * 6]
+
+# file -> the columns holding its key cells
+KEY_COLUMNS = {"customers": (0, 1, 2), "pairs": (0, 1), "location_map": (0, 1), "nace_map": (0, 1)}
+
+# a key cell's new text, given the cell and the same column's other cells
+KEY_EDITS = {
+    "empty": lambda cell, others: "",
+    "padded": lambda cell, others: f"  {cell} ",
+    "nul": lambda cell, others: cell + "\0",
+    "quotes": lambda cell, others: f'"{cell}"',
+    "inner-quote": lambda cell, others: f'{cell}"x',
+    "line-separator": lambda cell, others: cell + "\u2028",
+    "non-ascii": lambda cell, others: cell + "Łódź",
+    "repeated": lambda cell, others: others[0],
+    "unmapped": lambda cell, others: "ZZ-unmapped",
+}
+NUMBER_EDITS = ["", "nan", "-1", "1e309", "5e-324", "0", "abc", "1_0", "١"]
+
+
+def run(*args):
+    src = Path(retail_profiler.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "retail_profiler.cli", *args],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        errors="replace",
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=TIMEOUT_S,
+    )
+
+
+def write(path: Path, rows, quoted: bool) -> None:
+    """Write rows through ``csv.writer``, or joined by bare commas (the text as it is)."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        if quoted:
+            csv.writer(fh).writerows(rows)
+        else:
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+@pytest.fixture(scope="module")
+def pair_rows(tmp_path_factory):
+    """The rows of the pair table the untouched customers give."""
+    root = tmp_path_factory.mktemp("base")
+    write(root / "customers.csv", CUSTOMERS, quoted=True)
+    proc = run("pairs", "--customers", str(root / "customers.csv"), "--target", "flat", "--out", str(root))
+    assert proc.returncode == 0, proc.stderr
+    with (root / "pairs.csv").open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def run_pipeline(root: Path, files: dict) -> list:
+    """Write the inputs, then run pairs, stats and matrix on them."""
+    for name, (rows, quoted) in files.items():
+        write(root / f"{name}.csv", rows, quoted)
+    solar = f"solar:{root / 'solar.csv'},{root / 'location_map.csv'}"
+    customers, pairs = str(root / "customers.csv"), str(root / "pairs.csv")
+    return [
+        run("pairs", "--customers", customers, "--target", solar, "--out", str(root / "p")),
+        run("stats", "--pairs", pairs, "--out", str(root / "s")),
+        run(
+            "matrix", "--pairs", pairs, "--customers", customers, "--target", "flat",
+            "--location-map", str(root / "location_map.csv"), "--nace-map", str(root / "nace_map.csv"),
+            "--out", str(root / "m"),
+        ),
+    ]
+
+
+def inputs(pair_rows) -> dict:
+    """Each input file's rows and whether it is written through ``csv.writer``."""
+    return {
+        "customers": (CUSTOMERS, True),
+        "pairs": (pair_rows, True),
+        "location_map": (LOCATION_MAP, True),
+        "nace_map": (NACE_MAP, True),
+        "solar": (SOLAR, True),
+    }
+
+
+def assert_clean(procs, codes=(0, 2)):
+    for proc in procs:
+        assert proc.returncode in codes, (proc.args, proc.returncode, proc.stderr)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+
+
+def test_untouched_inputs_pass(tmp_path, pair_rows):
+    assert_clean(run_pipeline(tmp_path, inputs(pair_rows)), codes=(0,))
+
+
+@st.composite
+def places(draw, numeric: bool):
+    """(file, data row draw, column, whether the file is written through csv.writer)."""
+    if numeric:
+        name = draw(st.sampled_from(["customers", "pairs"]))
+        last = len(CUSTOMER_CSV_HEADER) if name == "customers" else len(pairing.PAIR_TABLE_HEADER)
+        column = draw(st.integers(len(KEY_COLUMNS[name]), last - 1))
+    else:
+        name = draw(st.sampled_from(sorted(KEY_COLUMNS)))
+        column = draw(st.sampled_from(KEY_COLUMNS[name]))
+    return name, draw(st.integers(0, 99)), column, draw(st.booleans())
+
+
+@pytest.mark.parametrize("edit", sorted(KEY_EDITS) + NUMBER_EDITS)
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_zero_or_two(tmp_path_factory, pair_rows, edit, data):
+    name, row, column, quoted = data.draw(places(numeric=edit not in KEY_EDITS))
+    files = inputs(pair_rows)
+    rows = [list(r) for r in files[name][0]]
+    row = 1 + row % (len(rows) - 1)
+    cell = rows[row][column]
+    others = [r[column] for r in rows[1:] if r[column] != cell] or [cell]
+    rows[row][column] = KEY_EDITS[edit](cell, others) if edit in KEY_EDITS else edit
+    files[name] = (rows, quoted)
+    assert_clean(run_pipeline(tmp_path_factory.mktemp("fuzz"), files))

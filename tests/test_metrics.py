@@ -16,7 +16,7 @@ from retail_profiler.metrics import (
 )
 from retail_profiler.model import DataError, normalize_profile
 from retail_profiler.pairing import attach_kpis, build_pairs
-from retail_profiler.targets import constant_resolver, custom_target, flat_target
+from retail_profiler.targets import SolarTable, constant_resolver, custom_target, flat_target, solar_resolver
 from tests.conftest import flat_demand, make_dataset, offset_demand
 
 profiles = st.lists(
@@ -221,23 +221,39 @@ class TestReduction:
 
 
 class TestCustomerDistances:
-    def test_resolver_called_once_per_pair(self):
+    def test_resolver_called_once_per_location(self):
         ds = make_dataset(
             [
                 ("A", "X", "L1", 1.0, offset_demand()),
                 ("B", "X", "L1", 1.0, offset_demand()),
                 ("C", "Y", "L2", 1.0, offset_demand()),
+                ("D", "Z", "L1", 1.0, offset_demand()),
+                ("E", "Z", "L2", 1.0, offset_demand()),
             ]
         )
         calls = []
 
-        def resolver(key):
-            calls.append(key)
+        def resolver(location):
+            calls.append(location)
             return flat_target()
 
         distances = metrics.member_distances(ds, resolver)
-        assert len(calls) == 2
-        assert distances.size == 3
+        assert len(ds.pair_groups.nace) == 4
+        assert calls == ["L1", "L2"]  # once per distinct location, in pair order
+        assert distances.size == 5
+
+    def test_first_unmapped_location_in_pair_order_is_named(self):
+        # pair order is (A, Lz), (B, La), (C, Lm): Lz sorts last but comes first
+        ds = make_dataset(
+            [
+                ("1", "C", "Lm", 1.0, offset_demand()),
+                ("2", "B", "La", 1.0, offset_demand()),
+                ("3", "A", "Lz", 1.0, offset_demand()),
+            ]
+        )
+        resolver = solar_resolver(SolarTable({"P": np.ones(12)}), {"Lm": "P"}.__getitem__)
+        with pytest.raises(DataError, match=r"^location 'Lz' has no province mapping$"):
+            metrics.member_distances(ds, resolver)
 
     def test_nan_exactly_outside_every_pair(self):
         ds = make_dataset(
@@ -271,7 +287,7 @@ class TestCustomerDistances:
             return kernel(raw, rows, target)
 
         monkeypatch.setattr(metrics.kernels, "normalized_rmsd", counted)
-        distances = metrics.member_distances(ds, lambda key: by_location[key.location])
+        distances = metrics.member_distances(ds, by_location.__getitem__)
         assert sorted(passes) == [1, 2]
         # each distance lines up with its dataset row
         for row, d in enumerate(distances.tolist()):

@@ -228,7 +228,8 @@ class TestDataset:
         )
         groups = ds.pair_groups
         assert groups.rows.size == groups.offsets[-1] == ds.pairable_count == 5
-        assert list(zip(groups.nace, groups.location)) == [("X", "L1"), ("Y", "L1")]  # key order
+        keys = [(groups.naces[n], groups.locations[loc]) for n, loc in zip(groups.nace, groups.location)]
+        assert keys == [("X", "L1"), ("Y", "L1")]  # key order
         # members come out in id order, whatever the input row order
         x, y = np.split(groups.rows, groups.offsets[1:-1])
         assert [ds.ids[i] for i in x] == ["A", "B", "E"]

@@ -6,7 +6,7 @@ import pytest
 
 from retail_profiler import model, pairing
 from retail_profiler.metrics import DegenerateReferenceError, eid, global_distance, member_distances, profile_distance
-from retail_profiler.model import DataError, PairKey, normalize_profile
+from retail_profiler.model import DataError, normalize_profile
 from retail_profiler.pairing import (
     attach_kpis,
     build_pairs,
@@ -85,7 +85,7 @@ class TestBuildPairs:
         )
         table = build_pairs(ds)
         assert len(table) == 2
-        assert set(zip(table.nace, table.location)) == {PairKey("X", "L1"), PairKey("X", "L2")}
+        assert set(table.keys()) == {("X", "L1"), ("X", "L2")}
 
     def test_pair_profile_of_identical_customers(self):
         demand = offset_demand(100, 30)
@@ -134,7 +134,7 @@ class TestBuildPairs:
         ]
         t1 = build_pairs(make_dataset(rows))
         t2 = build_pairs(make_dataset(rows[::-1]))
-        assert (t1.nace, t1.location) == (t2.nace, t2.location)
+        assert t1.keys() == t2.keys()
         for p in range(len(t1)):
             assert member_ids(t1, p) == member_ids(t2, p)
         assert np.array_equal(t1.profiles, t2.profiles)
@@ -365,6 +365,34 @@ class TestAggregateMatrix:
         assert int((matrix.counts[matrix.provinces.index("P36")] > 0).sum()) == 1
 
 
+class TestVocabularyEdges:
+    """A built table shares its dataset's vocabularies, which also hold the codes of unpaired rows."""
+
+    ROWS = [
+        ("A", "X", "L1", 1.0, flat_demand()),
+        ("B", "Y", "L2", 1.0, offset_demand()),
+        ("C", "U", "L5", 1.0, flat_demand()),
+        ("ZERO", "W", "L3", 1.0, [0.0] * 12),  # nace W and location L3 only on a zero-demand row
+        ("NO-LOCATION", "V", "", 1.0, flat_demand()),  # nace V only beside an empty location
+        ("NO-NACE", "", "L4", 1.0, flat_demand()),  # location L4 only beside an empty nace
+    ]
+
+    def test_pair_space_counts_the_table_codes(self):
+        table = build_pairs(make_dataset(self.ROWS))
+        assert table.naces == ("", "U", "V", "W", "X", "Y")
+        assert table.locations == ("", "L1", "L2", "L3", "L4", "L5")
+        assert identification_stats(table).total_pair_space == 3 * 3
+
+    def test_matrix_lists_only_mapped_pairs(self):
+        table = build_pairs(with_d_star_half(self.ROWS))
+        provinces = {"L1": "P1", "L2": "P2", "L3": "P3", "L4": "P4", "L5": "P5", "Q99-M999": "Q"}
+        divisions = {"": "D", "V": "DV", "W": "DW", "X": "DX", "Y": "DY", "Z99.9": "DZ"}
+        matrix = aggregate_matrix(table, provinces.__getitem__, divisions.__getitem__, RESOLVER)
+        assert matrix.provinces == ("P1", "P2", "Q")
+        assert matrix.divisions == ("DX", "DY", "DZ")
+        assert matrix.diagnostics == ("nace 'U' has no division mapping; pair excluded",)
+
+
 class TestMappings:
     def test_default_province_prefix(self):
         assert default_province("P36-M0001") == "P36"
@@ -402,7 +430,7 @@ class TestCsvRoundTrip:
         write_pair_table(table, path)
         loaded = read_pair_table(path, dataset)
         assert len(loaded) == len(table)
-        assert (loaded.nace, loaded.location) == (table.nace, table.location)
+        assert loaded.keys() == table.keys()
         assert np.array_equal(loaded.member_rows, table.member_rows)
         for p in range(len(table)):
             assert member_ids(loaded, p) == member_ids(table, p)
@@ -468,7 +496,7 @@ class TestCsvRoundTrip:
         path.write_text("\n".join([header] + rows) + "\n")
         for data in (dataset, None):
             loaded = read_pair_table(path, data)
-            assert (loaded.nace, loaded.location) == (table.nace, table.location)
+            assert loaded.keys() == table.keys()
             for column in COLUMNS:
                 assert np.array_equal(getattr(loaded, column), getattr(table, column)), column
         assert np.array_equal(read_pair_table(path, dataset).member_rows, table.member_rows)

@@ -84,8 +84,10 @@ class TestGreedy:
             [(f"{k}-m", k, "L1", 1.0, flat_demand()) for k in ("A", "B", "C")]
         )
         table = PairTable(
-            nace=("A", "B", "C"),
-            location=("L1", "L1", "L1"),
+            nace=np.arange(3),
+            location=np.zeros(3, dtype=np.intp),
+            naces=("A", "B", "C"),
+            locations=("L1",),
             n_k=np.ones(3, dtype=np.intp),
             profiles=np.ones((3, 12)),
             avg_contracted=np.ones(3),
@@ -251,6 +253,12 @@ class TestRows:
         )
         seq = power_sequence(table, "contracted", seed=0, per_customer=True)
         assert seq.rows.tolist() == expected
+
+    def test_per_customer_ties_follow_python_string_order(self):
+        # a numpy "U" array drops trailing NULs and would see "a" and "a\0" as equal
+        ds, table = kpi_table([("a\0", "X", "L1", 1.0, flat_demand()), ("a", "Y", "L1", 1.0, offset_demand())])
+        seq = power_sequence(table, "contracted", seed=0, per_customer=True)
+        assert seq.ids == ("a", "a\0")
 
     def test_per_customer_ranks_only_the_listed_customers(self, tmp_path):
         ds, table = mixed_table()

@@ -94,13 +94,13 @@ class TestGenerate:
         assert stats.pair_cardinality_histogram == truth.cardinality_histogram
         assert stats.nonempty_pair_count == len(truth.pair_composition)
         table = build_pairs(ds)
-        realized = dict(zip(zip(table.nace, table.location), table.n_k.tolist()))
+        realized = dict(zip(table.keys(), table.n_k.tolist()))
         assert realized == truth.pair_composition
 
     def test_planted_pairs_are_pure_and_separate(self):
         ds, truth = generate(small_config(), TARGET)
         groups = ds.pair_groups
-        keys = zip(groups.nace, groups.location)
+        keys = build_pairs(ds).keys()  # the table lists the groups in order
         members = dict(zip(keys, np.split(groups.rows, groups.offsets[1:-1])))
         planted_members = {
             ds.ids[i] for key in truth.planted_pairs for i in members[key]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from retail_profiler.metrics import profile_distance
-from retail_profiler.model import DataError, PairKey
+from retail_profiler.model import DataError
 from retail_profiler.targets import (
     AggregateDemand,
     NegativeTargetWarning,
@@ -134,15 +134,15 @@ class TestResolvers:
     def test_constant(self):
         target = flat_target()
         resolve = constant_resolver(target)
-        assert resolve(PairKey("X", "L")) is target
+        assert resolve("L") is target
 
     def test_solar_resolver_uses_province_of_location(self):
         table = SolarTable({province: default_solar_row(0.3) for province in ("P01", "P02")})
         resolve = solar_resolver(table, lambda loc: loc.split("-")[0])
-        t1 = resolve(PairKey("X", "P01-M0001"))
-        t2 = resolve(PairKey("Y", "P01-M0099"))
+        t1 = resolve("P01-M0001")
+        t2 = resolve("P01-M0099")
         assert t1 is t2  # cached per province
-        assert resolve(PairKey("X", "P02-M0001")).label == "solar"
+        assert resolve("P02-M0001").label == "solar"
 
 
 class TestLoaders:

@@ -33,11 +33,6 @@ MEAN_TOLERANCE = 1e-9
 TARGET_LABELS = ("flat", "solar", "complement", "custom")
 
 
-def format_float(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float64."""
-    return repr(float(x))
-
-
 class DataError(Exception):
     """Input data violates a documented contract."""
 
@@ -494,16 +489,47 @@ def _checked_customers(path: Path, blocks) -> CustomerDataset:
 
 def save_customers(dataset: CustomerDataset, path) -> None:
     """Write a dataset back to the customer-CSV schema (exact float round-trip)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    write_csv(
+        path,
+        CUSTOMER_CSV_HEADER,
+        [dataset.ids, dataset.nace, dataset.location, dataset.contracted_kw, *dataset.raw_demand.T],
+    )
+
+
+# csv.writer quotes a cell that holds one of these; it writes any other text bare.
+_QUOTED = (",", '"', "\r", "\n")
+
+
+def write_csv(path, header: tuple[str, ...], columns) -> None:
+    """Write equal-length columns under ``header`` as ``csv.writer`` would, a block of rows at a time.
+
+    A column is a sequence of str or a 1-D numpy array. Each ``_BLOCK`` rows of
+    an array column are formatted by one ``repr`` of their Python values: a
+    float as its shortest round-trip text, an integer as itself, and a NaN
+    as an empty cell. Rows end with CRLF. A block whose text cells hold a
+    character ``csv.writer`` quotes goes through ``csv.writer``, so every
+    byte is the one it writes.
+    """
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("columns differ in length")
+    texts = [j for j, column in enumerate(columns) if not isinstance(column, np.ndarray)]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CUSTOMER_CSV_HEADER)
-        for lo in range(0, len(dataset), _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            writer.writerows(
-                [cid, nace, location, format_float(kw)] + list(map(format_float, monthly))
-                for cid, nace, location, kw, monthly in zip(
-                    dataset.ids[block], dataset.nace[block], dataset.location[block],
-                    dataset.contracted_kw[block].tolist(), dataset.raw_demand[block].tolist(),
-                )
-            )
+        writer.writerow(header)
+        for lo in range(0, len(columns[0]), _BLOCK):
+            cells = [_cells(column[lo:lo + _BLOCK]) for column in columns]
+            text = "".join(["".join(cells[j]) for j in texts])
+            if any(ch in text for ch in _QUOTED):
+                writer.writerows(zip(*cells))
+            else:
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _cells(part):
+    """The text cells of one block of a column."""
+    if not isinstance(part, np.ndarray):
+        return part
+    cells = repr(part.tolist())[1:-1].split(", ")
+    if part.dtype.kind == "f" and np.isnan(part).any():
+        cells = ["" if cell == "nan" else cell for cell in cells]
+    return cells

@@ -8,7 +8,6 @@ distance of the pair's averaged profile (the two differ in general).
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass, replace
@@ -32,13 +31,12 @@ from retail_profiler.model import (
     DataError,
     PairGroups,
     SchemaError,
-    _BLOCK,
     _csv_rows,
     _read_csv,
     encode,
     factorize,
-    format_float,
     pair_codes,
+    write_csv,
 )
 from retail_profiler.synth import PairKey
 
@@ -220,19 +218,14 @@ class IdentificationStats:
     def max_size(self) -> int:
         return max(self.pair_cardinality_histogram, default=0)
 
-    def ratio_table(self) -> list[tuple[int, int, int, float, int]]:
-        """Per size 1..max: (size, its pairs, pairs up to it, their share, their customers)."""
-        rows = []
-        pairs_cum = 0
-        customers_cum = 0
-        for size in range(1, self.max_size + 1):
-            count = self.pair_cardinality_histogram.get(size, 0)
-            pairs_cum += count
-            customers_cum += size * count
-            rows.append(
-                (size, count, pairs_cum, pairs_cum / self.nonempty_pair_count, customers_cum)
-            )
-        return rows
+    def ratio_table(self) -> tuple[np.ndarray, ...]:
+        """Per size 1..max, as columns: the size, its pairs, pairs up to it, their share, their customers."""
+        size = np.arange(1, self.max_size + 1)
+        pairs = np.zeros(size.size + 1, dtype=np.int64)
+        pairs[list(self.pair_cardinality_histogram)] = list(self.pair_cardinality_histogram.values())
+        pairs = pairs[1:]
+        pairs_leq = np.cumsum(pairs)
+        return size, pairs, pairs_leq, pairs_leq / self.nonempty_pair_count, np.cumsum(size * pairs)
 
 
 def identification_stats(table: PairTable) -> IdentificationStats:
@@ -353,17 +346,21 @@ def default_division(nace: str) -> str:
 
 
 def load_mapping(path, header: tuple[str, str]) -> dict[str, str]:
-    """Read a two-column code mapping CSV with the given header; a code maps once."""
+    """Read a two-column code mapping CSV with the given header; a code maps once, to a non-empty value."""
     path = Path(path)
     mapping: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for line, row in _csv_rows(path, header):
         if len(row) != 2:
             raise SchemaError(f"{path}: line {line}: expected 2 fields")
-        code = row[0].strip()
+        code, value = row[0].strip(), row[1].strip()
+        if not code:
+            raise DataError(f"{path}: line {line}: empty {header[0]}")
+        if not value:
+            raise DataError(f"{path}: line {line}: {header[0]} {code!r} maps to an empty {header[1]}")
         if code in mapping:
             raise DataError(f"{path}: line {line}: {header[0]} {code!r} duplicates line {first_line[code]}")
-        mapping[code] = row[1].strip()
+        mapping[code] = value
         first_line[code] = line
     return mapping
 
@@ -372,28 +369,17 @@ def load_mapping(path, header: tuple[str, str]) -> dict[str, str]:
 
 
 def write_pair_table(table: PairTable, path) -> None:
-    path = Path(path)
-    keys = table.keys()
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PAIR_TABLE_HEADER)
-        for lo in range(0, len(table), _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            # an unset KPI column, or an empty cell read back as NaN, writes as ""
-            kpis = [
-                [""] * len(keys[block]) if column is None
-                else ["" if math.isnan(v) else format_float(v) for v in column[block].tolist()]
-                for column in (table.d_k, table.e_k, table.E_k)
-            ]
-            writer.writerows(
-                [nace, location, n_k, format_float(kw), format_float(kwh), d, e, E]
-                + list(map(format_float, profile))
-                for (nace, location), n_k, kw, kwh, d, e, E, profile in zip(
-                    keys[block], table.n_k[block].tolist(),
-                    table.avg_contracted[block].tolist(), table.avg_demand[block].tolist(),
-                    *kpis, table.profiles[block].tolist(),
-                )
-            )
+    # an unset KPI column writes as empty cells, as does a NaN read back from one
+    unset = [""] * len(table)
+    write_csv(path, PAIR_TABLE_HEADER, [
+        list(map(table.naces.__getitem__, table.nace.tolist())),
+        list(map(table.locations.__getitem__, table.location.tolist())),
+        table.n_k,
+        table.avg_contracted,
+        table.avg_demand,
+        *(unset if column is None else column for column in (table.d_k, table.e_k, table.E_k)),
+        *table.profiles.T,
+    ])
 
 
 def read_pair_table(path, dataset: CustomerDataset | None = None) -> PairTable:
@@ -471,7 +457,9 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
         means = profiles.mean(axis=1)
     off_mean = finite & (np.abs(means - 1.0) > MEAN_TOLERANCE)
     # (failing rows, message of row i), in the order the checks apply to one line
+    blank = (nace == encode(("",), naces)[0]) | (location == encode(("",), locations)[0])
     checks = [
+        (blank, lambda i: f"pair {key(i)} has an empty nace or location"),
         (~finite, lambda i: "normalized profile contains non-finite values"),
         (off_mean, lambda i: f"normalized profile must have unit mean, got {float(means[i])!r}"),
     ]
@@ -530,21 +518,13 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
 
 def write_matrix(matrix: IndicatorMatrix, path) -> None:
     """Long-form export of the full grid; empty cells keep an empty E field."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATRIX_CSV_HEADER)
-        for i, province in enumerate(matrix.provinces):
-            for j, division in enumerate(matrix.divisions):
-                count = int(matrix.counts[i, j])
-                cell = format_float(matrix.values[i, j]) if count else ""
-                writer.writerow([province, division, count, cell])
+    write_csv(path, MATRIX_CSV_HEADER, [
+        [province for province in matrix.provinces for _ in matrix.divisions],
+        matrix.divisions * len(matrix.provinces),
+        matrix.counts.ravel(),
+        np.where(matrix.counts > 0, matrix.values, np.nan).ravel(),
+    ])
 
 
 def write_identification_stats(stats: IdentificationStats, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("size", "pairs", "pairs_leq", "pairs_leq_ratio", "customers_leq"))
-        for size, count, pairs_cum, ratio, customers_cum in stats.ratio_table():
-            writer.writerow((size, count, pairs_cum, format_float(ratio), customers_cum))
+    write_csv(path, ("size", "pairs", "pairs_leq", "pairs_leq_ratio", "customers_leq"), stats.ratio_table())

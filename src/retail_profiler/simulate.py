@@ -12,16 +12,14 @@ derives one child seed per repetition from the master seed via a counter
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from retail_profiler import kernels
-from retail_profiler.model import CustomerDataset, DataError, TargetProfile, format_float
+from retail_profiler.model import CustomerDataset, DataError, TargetProfile, write_csv
 from retail_profiler.pairing import PairTable
 
 STRATEGY_LABELS = ("eid", "contracted", "demanded", "random")
@@ -270,27 +268,16 @@ def reduction_curve(
 
 
 def write_curve(curve: DistanceCurve, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("step", "distance"))
-        for step, d in enumerate(curve.distance.tolist(), 1):
-            writer.writerow((step, format_float(d)))
+    write_csv(path, ("step", "distance"), [np.arange(1, curve.distance.size + 1), curve.distance])
 
 
 def write_baseline(curve: BaselineCurve, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("step", "median", "q1", "q3"))
-        for step, (m, a, b) in enumerate(zip(curve.median, curve.q1, curve.q3), 1):
-            writer.writerow((step, format_float(m), format_float(a), format_float(b)))
+    steps = np.arange(1, curve.median.size + 1)
+    write_csv(path, ("step", "median", "q1", "q3"), [steps, curve.median, curve.q1, curve.q3])
 
 
 def write_reduction(rows: Sequence[tuple[int, float]], path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n", "reduction"))
-        for n, r in rows:
-            writer.writerow((int(n), format_float(r)))
+    write_csv(path, ("n", "reduction"), [
+        np.array([int(n) for n, _ in rows], dtype=np.int64),
+        np.array([r for _, r in rows], dtype=np.float64),
+    ])

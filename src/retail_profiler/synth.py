@@ -16,11 +16,9 @@ form worst-case distance for planted customers
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +29,7 @@ from retail_profiler.model import (
     CustomerDataset,
     DataError,
     TargetProfile,
-    _csv_rows,
+    write_csv,
 )
 
 GROUND_TRUTH_HEADER = ("id", "planted", "pair_nace", "pair_location")
@@ -286,23 +284,5 @@ def generate(config: SynthConfig, target: TargetProfile) -> tuple[CustomerDatase
 
 def write_ground_truth(dataset: CustomerDataset, truth: GroundTruth, path) -> None:
     """Sidecar CSV naming each customer's pair and planted flag."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GROUND_TRUTH_HEADER)
-        for i, cid in enumerate(dataset.ids):
-            writer.writerow(
-                (cid, int(cid in truth.planted_ids), dataset.nace[i], dataset.location[i])
-            )
-
-
-def read_ground_truth(path) -> tuple[dict[str, PairKey], frozenset[str]]:
-    """Load the sidecar: (id -> pair key, planted id set)."""
-    path = Path(path)
-    pairs: dict[str, PairKey] = {}
-    planted: set[str] = set()
-    for _, row in _csv_rows(path, GROUND_TRUTH_HEADER):
-        pairs[row[0]] = PairKey(row[2], row[3])
-        if row[1].strip() == "1":
-            planted.add(row[0])
-    return pairs, frozenset(planted)
+    planted = np.fromiter(map(truth.planted_ids.__contains__, dataset.ids), dtype=np.int8, count=len(dataset))
+    write_csv(path, GROUND_TRUTH_HEADER, [dataset.ids, planted, dataset.nace, dataset.location])

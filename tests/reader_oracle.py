@@ -216,6 +216,7 @@ def _checked_table(path: Path, blocks: list, dataset: CustomerDataset | None) ->
     off_mean = finite & (np.abs(means - 1.0) > MEAN_TOLERANCE)
     # (failing rows, message of row i), in the order the checks apply to one line
     checks = [
+        ((nace == "") | (location == ""), lambda i: f"pair {key(i)} has an empty nace or location"),
         (~finite, lambda i: "normalized profile contains non-finite values"),
         (off_mean, lambda i: f"normalized profile must have unit mean, got {float(means[i])!r}"),
     ]

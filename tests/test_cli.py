@@ -181,6 +181,29 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {mapping}: line 3: {header} {code!r} duplicates line 2\n"
 
+    @pytest.mark.parametrize("cell", ["value", "code"])
+    @pytest.mark.parametrize("flag", ["--location-map", "--nace-map", "solar"])
+    def test_empty_mapping_cell_is_two(self, workspace, tmp_path, flag, cell):
+        dataset = load_customers(workspace / "data" / "customers.csv")
+        header, code = ("nace", dataset.nace[0]) if flag == "--nace-map" else ("location", dataset.location[0])
+        mapped = "division" if header == "nace" else "province"
+        mapping = tmp_path / "map.csv"
+        row = f"{code}," if cell == "value" else ",P01"
+        mapping.write_text(f"{header},{mapped}\nX,P01\n{row}\n")
+        customers = workspace / "data" / "customers.csv"
+        if flag == "solar":
+            table = tmp_path / "T.csv"
+            table.write_text(SOLAR_HEADER + "\nP01" + ",1" * 12 + "\n")
+            args = ["pairs", "--customers", str(customers), "--target", f"solar:{table},{mapping}"]
+        else:
+            args = ["matrix", "--pairs", str(workspace / "kpis" / "pairs.csv"), "--customers", str(customers),
+                    flag, str(mapping), "--target", "flat"]
+        proc = run_cli(*args, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        problem = f"{header} {code!r} maps to an empty {mapped}" if cell == "value" else f"empty {header}"
+        assert proc.stderr == f"error: {mapping}: line 3: {problem}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -352,6 +375,22 @@ class TestStats:
         assert f"line {len(lines) + 1}: pair" in proc.stderr
         assert "duplicates line 2" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["nace", "location"])
+    @pytest.mark.parametrize("command", ["stats", "matrix"])
+    def test_empty_key_is_data_error(self, workspace, tmp_path, command, column):
+        lines = (workspace / "kpis" / "pairs.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = " "
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        args = ["--pairs", str(pairs), "--out", str(tmp_path / "o")]
+        if command == "matrix":
+            args += ["--customers", str(workspace / "data" / "customers.csv"), "--target", "flat"]
+        proc = run_cli(command, *args)
+        assert proc.returncode == 2
+        key = f"PairKey(nace={'' if column == 0 else cells[0]!r}, location={'' if column == 1 else cells[1]!r})"
+        assert proc.stderr == f"error: {pairs}: line 3: pair {key} has an empty nace or location\n"
 
     def test_huge_pair_size_is_data_error(self, tmp_path):
         # stats writes one row per size up to n_k; the bound stops it at the read, and

@@ -258,7 +258,7 @@ class TestIdentificationStats:
         stats = identification_stats(build_pairs(ds))
         # every pair has one customer, so the share of pairs of size <= n is 1 for any n
         assert stats.pair_cardinality_histogram == {1: 5}
-        assert [ratio for _, _, _, ratio, _ in stats.ratio_table()] == [1.0]
+        assert stats.ratio_table()[3].tolist() == [1.0]
 
     def test_planted_composition_exact(self):
         # composition {1: 50, 2: 30, 11: 5}: sets of <=10 cover 50 + 60 customers
@@ -286,11 +286,13 @@ class TestIdentificationStats:
     def test_ratio_table_is_cumulative(self, mid_run):
         _, _, _, table, _ = mid_run
         stats = identification_stats(table)
-        rows = stats.ratio_table()
-        ratios = [r[3] for r in rows]
-        assert all(a <= b for a, b in zip(ratios, ratios[1:]))
+        size, pairs, pairs_leq, ratios, customers_leq = stats.ratio_table()
+        assert size.tolist() == list(range(1, stats.max_size + 1))
+        assert pairs.tolist() == [stats.pair_cardinality_histogram.get(s, 0) for s in size.tolist()]
+        assert np.all(np.diff(ratios) >= 0)
         assert ratios[-1] == 1.0
-        assert rows[-1][4] == sum(s * c for s, c in stats.pair_cardinality_histogram.items())
+        assert pairs_leq[-1] == stats.nonempty_pair_count
+        assert customers_leq[-1] == sum(s * c for s, c in stats.pair_cardinality_histogram.items())
 
 
 class TestAggregateMatrix:

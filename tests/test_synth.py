@@ -10,10 +10,10 @@ from retail_profiler.synth import (
     SynthConfig,
     generate,
     planted_distance_bound,
-    read_ground_truth,
     write_ground_truth,
 )
 from retail_profiler.targets import constant_resolver, default_solar_target, flat_target
+from tests.writer_oracle import read_ground_truth
 
 
 TARGET = default_solar_target()

@@ -16,6 +16,9 @@ holds, per workload:
 - ``end_to_end``: each end-to-end metric's median over the seeds, and the
   value of each run;
 - ``commands_s``: each command's median wall time over the seeds;
+- ``commands_rss_mb``: each command's peak RSS in MB, read by ``run.py``
+  from ``os.wait4``: the median over each run's samples (as ``peak_rss_mb``
+  takes it), then the median over the seeds;
 - ``writers_self_s``: the traced self time of each CSV writer the tracer
   wraps, and ``layers``: every per-layer metric of the traced run;
 - ``problems``: the problems ``run.py`` found over all runs (a failed
@@ -98,6 +101,12 @@ def record(repo: Path) -> dict:
             "commands_s": {
                 name: statistics.median(v[name] for v in values)
                 for name in sorted(values[0]) if name not in END_TO_END
+            },
+            "commands_rss_mb": {
+                step: statistics.median(
+                    statistics.median(rss for _, rss in result["samples"]["commands"][step]) for result in untraced
+                )
+                for step in untraced[0]["samples"]["commands"]
             },
             "writers_self_s": {name: layers[f"{name}.self_s"] for name in WRITERS},
             "layers": layers,

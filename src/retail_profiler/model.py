@@ -1,10 +1,13 @@
 """Core domain model: the customer dataset, its ingestion, profile normalization.
 
-A dataset is stored column-wise (id/nace/location tuples plus numpy arrays for
-contracted power and the 12 monthly demands) so that downstream passes stream
-over millions of rows without materializing per-row objects; the rest of the
-package refers to customers by row index, and to a nace or location by its
-code: its rank in the sorted vocabulary of the column (see :func:`factorize`).
+A dataset is stored column-wise (a tuple of id strings, nace and location codes,
+and numpy arrays for contracted power and the 12 monthly demands) so that
+downstream passes stream over millions of rows without materializing per-row
+objects. The package refers to customers by row index, and to a nace or
+location by its code: its rank in the sorted vocabulary of the column. The
+readers encode the key cells block by block as they parse them, so key strings
+exist only once per distinct value, in the vocabularies, the writers and the
+messages.
 
 Normalization convention: a demand profile is divided by the arithmetic mean
 of its 12 monthly values, so every normalized profile (and every target) has
@@ -14,6 +17,7 @@ unit mean. Shape is what matters; absolute magnitude is deliberately dropped.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
@@ -120,24 +124,42 @@ class PairGroups:
 class CustomerDataset:
     """Immutable column-wise customer table.
 
-    Rows with an empty nace or location are retained (and counted in
-    ``total``) but excluded from pairing; rows with zero annual demand are
-    likewise retained but cannot be profiled. ``pairable_mask`` selects the
-    rows eligible for every KPI computation. The dataset is safe for
-    unrestricted concurrent reads once constructed.
+    Row i's nace is ``naces[nace[i]]`` and its location
+    ``locations[location[i]]``: the key columns are ``intp`` codes into sorted
+    vocabularies of distinct strings (:meth:`from_strings` builds them from
+    one string per row). Rows with an empty nace or location are retained
+    (and counted in ``total``) but excluded from pairing; rows with zero
+    annual demand are likewise retained but cannot be profiled.
+    ``pairable_mask`` selects the rows eligible for every KPI computation. The
+    dataset is safe for unrestricted concurrent reads once constructed.
     """
 
     ids: tuple[str, ...]
-    nace: tuple[str, ...]
-    location: tuple[str, ...]
+    nace: np.ndarray
+    location: np.ndarray
+    naces: tuple[str, ...]
+    locations: tuple[str, ...]
     contracted_kw: np.ndarray
     raw_demand: np.ndarray
     diagnostics: tuple[str, ...] = ()
 
+    @classmethod
+    def from_strings(cls, ids, nace, location, contracted_kw, raw_demand, diagnostics=()) -> CustomerDataset:
+        """A dataset from key columns that hold one string per row."""
+        naces, locations = tuple(sorted(set(nace))), tuple(sorted(set(location)))
+        nace, location = encode(nace, naces), encode(location, locations)
+        return cls(tuple(ids), nace, location, naces, locations, contracted_kw, raw_demand, tuple(diagnostics))
+
     def __post_init__(self):
         n = len(self.ids)
-        if not (len(self.nace) == len(self.location) == n):
-            raise ValueError("column lengths disagree")
+        for name, vocabulary in (("nace", self.naces), ("location", self.locations)):
+            codes = np.asarray(getattr(self, name), dtype=np.intp)
+            if codes.shape != (n,) or (n and not 0 <= codes.min() <= codes.max() < len(vocabulary)):
+                raise ValueError(f"{name} must hold one code into the {name} vocabulary per row")
+            if list(vocabulary) != sorted(set(vocabulary)):
+                raise ValueError(f"the {name} vocabulary must be sorted and distinct")
+            codes.setflags(write=False)
+            object.__setattr__(self, name, codes)
         contracted = np.asarray(self.contracted_kw, dtype=np.float64)
         raw = np.ascontiguousarray(self.raw_demand, dtype=np.float64)
         if contracted.shape != (n,) or raw.shape != (n, MONTHS):
@@ -170,16 +192,9 @@ class CustomerDataset:
         return len(self.ids)
 
     @cached_property
-    def _factorized(self) -> tuple[tuple[tuple[str, ...], np.ndarray], ...]:
-        """The :func:`factorize` of the nace column and of the location column."""
-        return factorize(self.nace), factorize(self.location)
-
-    @cached_property
     def has_keys_mask(self) -> np.ndarray:
-        mask = np.ones(len(self.ids), dtype=bool)
-        for vocabulary, codes in self._factorized:
-            if vocabulary[:1] == ("",):  # "" sorts first, so its code is 0
-                mask &= codes > 0
+        # "" sorts first, so a vocabulary that holds it gives it code 0
+        mask = (self.nace >= (self.naces[:1] == ("",))) & (self.location >= (self.locations[:1] == ("",)))
         mask.setflags(write=False)
         return mask
 
@@ -217,19 +232,19 @@ class CustomerDataset:
     # -- row access ---------------------------------------------------------
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {cid: i for i, cid in enumerate(self.ids)}
-
-    def rows_of(self, customer_ids) -> np.ndarray:
-        """Row indices of the given customer ids, in the order given."""
-        index = self._index
-        try:
-            return np.fromiter((index[cid] for cid in customer_ids), dtype=np.intp)
-        except KeyError as exc:
-            raise DataError(f"unknown customer id: {exc.args[0]!r}") from None
+    def id_order(self) -> np.ndarray:
+        """Every row, in Python string order of the ids: the one sort of the ids."""
+        order = np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.intp)
+        order.setflags(write=False)
+        return order
 
     def index_of(self, customer_id: str) -> int:
-        return int(self.rows_of((customer_id,))[0])
+        """The row of a customer id."""
+        order = self.id_order
+        i = bisect_left(order, customer_id, key=self.ids.__getitem__)
+        if i == order.size or self.ids[order[i]] != customer_id:
+            raise DataError(f"unknown customer id: {customer_id!r}")
+        return int(order[i])
 
     @cached_property
     def pair_groups(self) -> PairGroups:
@@ -238,9 +253,8 @@ class CustomerDataset:
         Each group lists its rows in customer-id order, so member order (and
         every seeded shuffle of it) does not depend on the input row order.
         """
-        (naces, nace), (locations, location) = self._factorized
-        rows = np.array(sorted(self.pairable_indices.tolist(), key=self.ids.__getitem__), dtype=np.intp)
-        key = pair_codes(nace[rows], location[rows], locations)
+        rows = self.id_order[self.pairable_mask[self.id_order]]
+        key = pair_codes(self.nace[rows], self.location[rows], self.locations)
         order = np.argsort(key, kind="stable")
         rows, key = rows[order], key[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))  # where a new key begins
@@ -248,19 +262,47 @@ class CustomerDataset:
         rows.setflags(write=False)
         offsets.setflags(write=False)
         first = rows[starts]
-        return PairGroups(nace[first], location[first], naces, locations, offsets, rows)
-
-
-def factorize(column) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct values of a string column, and each value's code: its rank among them."""
-    vocabulary = tuple(sorted(set(column)))
-    return vocabulary, encode(column, vocabulary)
+        return PairGroups(self.nace[first], self.location[first], self.naces, self.locations, offsets, rows)
 
 
 def encode(column, vocabulary: tuple[str, ...]) -> np.ndarray:
     """Each value's code in a sorted vocabulary, or -1 for a value it lacks."""
     index = {value: code for code, value in enumerate(vocabulary)}
     return np.fromiter(map(index.get, column, repeat(-1)), dtype=np.intp, count=len(column))
+
+
+def recode(values: list[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The column ``values[codes]`` as the sorted distinct values it holds and each row's code among them."""
+    used = np.zeros(len(values), dtype=bool)
+    used[codes] = True
+    vocabulary = tuple(sorted({values[i] for i in np.flatnonzero(used).tolist()}))
+    return vocabulary, encode(values, vocabulary)[codes]
+
+
+def decode(vocabulary: tuple[str, ...], codes: np.ndarray) -> list[str]:
+    """The string of each code, for a writer."""
+    return list(map(vocabulary.__getitem__, codes.tolist()))
+
+
+class _KeyCodes:
+    """A key column read block by block, each cell coded in a vocabulary that grows as cells arrive."""
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self.blocks = [np.empty(0, dtype=np.intp)]
+
+    def add(self, cells, keep) -> None:
+        """Code a block's cells, and keep the codes of its rows ``keep``."""
+        index = self.index
+        for cell in set(cells).difference(index):
+            index[cell] = len(index)
+        self.blocks.append(np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))[keep])
+
+    def column(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The :func:`recode` of the stripped cells."""
+        codes = np.concatenate(self.blocks)
+        self.blocks = []
+        return recode([cell.strip() for cell in self.index], codes)
 
 
 def pair_codes(nace: np.ndarray, location: np.ndarray, locations: tuple[str, ...]) -> np.ndarray:
@@ -348,9 +390,14 @@ def _plain_blocks(path: Path, header: tuple[str, ...]):
                 raise _NotPlain
             while block := list(islice(fh, _BLOCK)):
                 text = "".join(block)
-                if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+                crlf = text.count("\r\n")
+                if '"' in text or "\0" in text or text.count("\r") != crlf:
                     raise _NotPlain
-                rows = text.replace("\r\n", "\n").split("\n")
+                # csv.writer ends every line with CRLF; only mixed line ends cost a copy of the block
+                if crlf == text.count("\n"):
+                    rows = text.split("\r\n")
+                else:
+                    rows = text.replace("\r\n", "\n").split("\n")
                 if text.endswith("\n"):
                     rows.pop()
                 cells = [row.split(",", _TEXT_COLUMNS) for row in rows]
@@ -424,8 +471,7 @@ def _checked_customers(path: Path, blocks) -> CustomerDataset:
     block that passes them all is taken whole.
     """
     ids: list[str] = []
-    naces: list[str] = []
-    locations: list[str] = []
+    nace_codes, location_codes = _KeyCodes(), _KeyCodes()
     contracted = [np.empty(0)]
     demands = [np.empty((0, MONTHS))]
     diagnostics: list[str] = []
@@ -472,28 +518,21 @@ def _checked_customers(path: Path, blocks) -> CustomerDataset:
             zero = np.flatnonzero(totals == 0.0).tolist()
             diagnostics += map(_ZERO_DEMAND_NOTE.format, lines[zero].tolist(), map(cid.__getitem__, zero))
         ids += map(cid.__getitem__, keep)
-        naces += map(str.strip, map(nace.__getitem__, keep))
-        locations += map(str.strip, map(location.__getitem__, keep))
+        nace_codes.add(nace, keep)
+        location_codes.add(location, keep)
         contracted.append(numbers[keep, 0])
         demands.append(numbers[keep, 1:])
     del seen  # the dataset builds its own set of the ids
-    return CustomerDataset(
-        ids=tuple(ids),
-        nace=tuple(naces),
-        location=tuple(locations),
-        contracted_kw=np.concatenate(contracted),
-        raw_demand=np.concatenate(demands),
-        diagnostics=tuple(diagnostics),
-    )
+    # the block lists are let go before the key columns and the dataset are built
+    contracted, demands = np.concatenate(contracted), np.concatenate(demands)
+    (naces, nace), (locations, location) = nace_codes.column(), location_codes.column()
+    return CustomerDataset(tuple(ids), nace, location, naces, locations, contracted, demands, tuple(diagnostics))
 
 
 def save_customers(dataset: CustomerDataset, path) -> None:
     """Write a dataset back to the customer-CSV schema (exact float round-trip)."""
-    write_csv(
-        path,
-        CUSTOMER_CSV_HEADER,
-        [dataset.ids, dataset.nace, dataset.location, dataset.contracted_kw, *dataset.raw_demand.T],
-    )
+    naces, locations = decode(dataset.naces, dataset.nace), decode(dataset.locations, dataset.location)
+    write_csv(path, CUSTOMER_CSV_HEADER, [dataset.ids, naces, locations, dataset.contracted_kw, *dataset.raw_demand.T])
 
 
 # csv.writer quotes a cell that holds one of these; it writes any other text bare.

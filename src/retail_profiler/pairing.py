@@ -32,13 +32,13 @@ from retail_profiler.model import (
     PairGroups,
     SchemaError,
     _csv_rows,
+    _KeyCodes,
     _read_csv,
+    decode,
     encode,
-    factorize,
     pair_codes,
     write_csv,
 )
-from retail_profiler.synth import PairKey
 
 PAIR_TABLE_HEADER = (
     "nace",
@@ -100,11 +100,6 @@ class PairTable:
     def __len__(self) -> int:
         return len(self.nace)
 
-    def keys(self) -> list[tuple[str, str]]:
-        """Each pair's (nace, location) strings, in table order."""
-        codes = zip(self.nace.tolist(), self.location.tolist())
-        return [(self.naces[nace], self.locations[location]) for nace, location in codes]
-
     @property
     def groups(self) -> PairGroups:
         """The member layout of the table, with pair offsets from ``cumsum(n_k)``."""
@@ -131,9 +126,9 @@ def build_pairs(dataset: CustomerDataset) -> PairTable:
     groups = dataset.pair_groups
     starts = groups.offsets[:-1]
     counts = np.diff(groups.offsets)
-    raw = dataset.raw_demand[groups.rows]
+    raw = dataset.raw_demand[groups.rows]  # a copy, so the shapes can overwrite it
     member_means = raw.mean(axis=1)
-    shapes = kernels.unit_mean_rows(raw, member_means)
+    shapes = kernels.unit_mean_rows(raw, member_means, out=raw)
     profiles = np.add.reduceat(shapes, starts, axis=0) / counts[:, None]
     profiles /= profiles.mean(axis=1)[:, None]
     return PairTable(
@@ -372,8 +367,8 @@ def write_pair_table(table: PairTable, path) -> None:
     # an unset KPI column writes as empty cells, as does a NaN read back from one
     unset = [""] * len(table)
     write_csv(path, PAIR_TABLE_HEADER, [
-        list(map(table.naces.__getitem__, table.nace.tolist())),
-        list(map(table.locations.__getitem__, table.location.tolist())),
+        decode(table.naces, table.nace),
+        decode(table.locations, table.location),
         table.n_k,
         table.avg_contracted,
         table.avg_demand,
@@ -406,8 +401,7 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
         np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
         np.empty((0, len(PAIR_TABLE_HEADER) - 3)), np.empty((0, 3), dtype=bool),
     )]
-    naces: list[str] = []
-    locations: list[str] = []
+    nace_codes, location_codes = _KeyCodes(), _KeyCodes()
     error = None
     for lines, (nace, location, n_k_cells), values, errors in blocks:
         n = lines.size
@@ -434,14 +428,15 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
                 error = DataError(f"{path}: line {lines[i]}: malformed numeric field ({exc})")
                 break
         n = i if error is not None else n
-        naces += map(str.strip, nace[:n])
-        locations += map(str.strip, location[:n])
+        nace_codes.add(nace, slice(n))
+        location_codes.add(location, slice(n))
         columns.append((lines[:n], n_k[:n], values[:n], empty[:n]))
         if error is not None:
             break
     lines, n_k, values, empty = map(np.concatenate, zip(*columns))
+    del columns  # the blocks would double the table's numbers until it is returned
     kpis, profiles = values[:, 2:5], values[:, 5:]
-    (naces, nace), (locations, location) = factorize(naces), factorize(locations)
+    (naces, nace), (locations, location) = nace_codes.column(), location_codes.column()
     codes = pair_codes(nace, location, locations)
     order = np.argsort(codes, kind="stable")
     # each later row of a repeated key points at the row before it
@@ -449,8 +444,8 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
     earlier = np.full(n_k.size, -1, dtype=np.intp)
     earlier[order[1:][repeated]] = order[:-1][repeated]
 
-    def key(i: int) -> PairKey:
-        return PairKey._make((naces[nace[i]], locations[location[i]]))
+    def key(i: int) -> str:
+        return f"PairKey(nace={naces[nace[i]]!r}, location={locations[location[i]]!r})"
 
     finite = np.isfinite(profiles).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -17,7 +17,6 @@ form worst-case distance for planted customers
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -29,6 +28,8 @@ from retail_profiler.model import (
     CustomerDataset,
     DataError,
     TargetProfile,
+    decode,
+    recode,
     write_csv,
 )
 
@@ -129,10 +130,6 @@ class GroundTruth:
     pair_composition: dict[PairKey, int]
     planted_pairs: frozenset[PairKey]
     planted_ids: frozenset[str]
-
-    @property
-    def cardinality_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.pair_composition.values()).items()))
 
     @property
     def planted_count(self) -> int:
@@ -254,13 +251,9 @@ def generate(config: SynthConfig, target: TargetProfile) -> tuple[CustomerDatase
     contracted = np.round(scale / 730.0 * rng.uniform(1.2, 2.5, size=n), 3)
 
     ids = tuple(f"C{i:08d}" for i in range(n))
-    dataset = CustomerDataset(
-        ids=ids,
-        nace=tuple(naces[i] for i in cust_nace_idx),
-        location=tuple(locations[i] for i in cust_loc_idx),
-        contracted_kw=contracted,
-        raw_demand=raw,
-    )
+    nace_vocabulary, nace = recode(naces, cust_nace_idx)
+    location_vocabulary, location = recode(locations, cust_loc_idx)
+    dataset = CustomerDataset(ids, nace, location, nace_vocabulary, location_vocabulary, contracted, raw)
 
     pair_keys = [
         PairKey(naces[pair_nace_idx[p]], locations[pair_loc_idx[p]]) for p in range(n_pairs)
@@ -285,4 +278,6 @@ def generate(config: SynthConfig, target: TargetProfile) -> tuple[CustomerDatase
 def write_ground_truth(dataset: CustomerDataset, truth: GroundTruth, path) -> None:
     """Sidecar CSV naming each customer's pair and planted flag."""
     planted = np.fromiter(map(truth.planted_ids.__contains__, dataset.ids), dtype=np.int8, count=len(dataset))
-    write_csv(path, GROUND_TRUTH_HEADER, [dataset.ids, planted, dataset.nace, dataset.location])
+    write_csv(path, GROUND_TRUTH_HEADER, [
+        dataset.ids, planted, decode(dataset.naces, dataset.nace), decode(dataset.locations, dataset.location),
+    ])

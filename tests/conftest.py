@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from retail_profiler import pairing, synth, targets
-from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset
+from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset, decode
 
 
 def write_customer_csv(path, rows):
@@ -32,13 +32,23 @@ def offset_demand(base=100.0, swing=50.0):
 
 def make_dataset(rows) -> CustomerDataset:
     """Dataset from (id, nace, location, kw, demand-list) tuples."""
-    return CustomerDataset(
+    return CustomerDataset.from_strings(
         ids=tuple(r[0] for r in rows),
         nace=tuple(r[1] for r in rows),
         location=tuple(r[2] for r in rows),
         contracted_kw=np.array([r[3] for r in rows], dtype=float),
         raw_demand=np.array([r[4] for r in rows], dtype=float),
     )
+
+
+def row_keys(columns) -> list[tuple[str, str]]:
+    """Each row's (nace, location) strings, in row order, of a customer dataset or a pair table."""
+    return list(zip(decode(columns.naces, columns.nace), decode(columns.locations, columns.location)))
+
+
+def rows_of(dataset, customer_ids) -> np.ndarray:
+    """Row indices of the given customer ids, in the order given."""
+    return np.array([dataset.index_of(cid) for cid in customer_ids], dtype=np.intp)
 
 
 @pytest.fixture(scope="session")

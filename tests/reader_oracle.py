@@ -94,7 +94,7 @@ def _read_customer_rows(path: Path) -> CustomerDataset:
                 )
 
     n = len(ids)
-    dataset = CustomerDataset(
+    dataset = CustomerDataset.from_strings(
         ids=tuple(ids),
         nace=tuple(naces),
         location=tuple(locations),

@@ -13,7 +13,7 @@ import retail_profiler
 from retail_profiler import metrics, pairing, targets
 from retail_profiler.cli import main, parse_target_spec
 from retail_profiler.model import DataError, load_customers, normalize_profile
-from tests.conftest import flat_demand, offset_demand, write_customer_csv
+from tests.conftest import flat_demand, offset_demand, row_keys, write_customer_csv
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +166,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", ["--location-map", "--nace-map", "solar"])
     def test_repeated_mapping_key_is_two(self, workspace, tmp_path, flag):
         dataset = load_customers(workspace / "data" / "customers.csv")
-        header, code = ("nace", dataset.nace[0]) if flag == "--nace-map" else ("location", dataset.location[0])
+        nace, location = row_keys(dataset)[0]
+        header, code = ("nace", nace) if flag == "--nace-map" else ("location", location)
         mapping = tmp_path / "map.csv"
         mapping.write_text(f"{header},{'division' if header == 'nace' else 'province'}\n{code},P01\n{code},P02\n")
         customers = workspace / "data" / "customers.csv"
@@ -185,7 +186,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", ["--location-map", "--nace-map", "solar"])
     def test_empty_mapping_cell_is_two(self, workspace, tmp_path, flag, cell):
         dataset = load_customers(workspace / "data" / "customers.csv")
-        header, code = ("nace", dataset.nace[0]) if flag == "--nace-map" else ("location", dataset.location[0])
+        nace, location = row_keys(dataset)[0]
+        header, code = ("nace", nace) if flag == "--nace-map" else ("location", location)
         mapped = "division" if header == "nace" else "province"
         mapping = tmp_path / "map.csv"
         row = f"{code}," if cell == "value" else ",P01"
@@ -246,7 +248,7 @@ class TestPairs:
         resolver = targets.constant_resolver(target)
         recomputed = pairing.attach_kpis(pairing.build_pairs(dataset), resolver)
         assert len(table) == len(recomputed)
-        assert table.keys() == recomputed.keys()
+        assert row_keys(table) == row_keys(recomputed)
         for column in ("n_k", "d_k", "e_k", "E_k", "avg_contracted", "avg_demand"):
             assert np.array_equal(getattr(table, column), getattr(recomputed, column)), column
 
@@ -436,7 +438,7 @@ class TestMatrix:
         with loc_map.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["location", "province"])
-            for loc in sorted(set(dataset.location)):
+            for loc in dataset.locations:
                 writer.writerow([loc, "EVERYWHERE"])
         code = main(
             [

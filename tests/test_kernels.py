@@ -116,7 +116,7 @@ def test_zero_row_in_a_later_chunk_rejected(sample, monkeypatch, kernel):
 def test_accumulate_curve_holds_no_copy_of_the_sequence_rows():
     n = 200_000
     rng = np.random.default_rng(15)
-    dataset = CustomerDataset(
+    dataset = CustomerDataset.from_strings(
         ids=tuple(map(str, range(n))),
         nace=("X",) * n,
         location=("L",) * n,

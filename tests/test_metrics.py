@@ -291,5 +291,5 @@ class TestCustomerDistances:
         assert sorted(passes) == [1, 2]
         # each distance lines up with its dataset row
         for row, d in enumerate(distances.tolist()):
-            target = by_location[ds.location[row]]
+            target = by_location[ds.locations[ds.location[row]]]
             assert d == pytest.approx(profile_distance(normalize_profile(ds.raw_demand[row]), target), rel=1e-12)

@@ -201,8 +201,8 @@ class TestRoundTrip:
         save_customers(ds1, second)
         ds2 = load_customers(second)
         assert ds1.ids == ds2.ids
-        assert ds1.nace == ds2.nace
-        assert ds1.location == ds2.location
+        for column in ("nace", "location", "naces", "locations"):
+            assert np.array_equal(getattr(ds1, column), getattr(ds2, column))
         assert np.array_equal(ds1.contracted_kw, ds2.contracted_kw)
         assert np.array_equal(ds1.raw_demand, ds2.raw_demand)
 

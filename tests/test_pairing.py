@@ -19,7 +19,7 @@ from retail_profiler.pairing import (
     write_pair_table,
 )
 from retail_profiler.targets import constant_resolver, default_solar_target, flat_target
-from tests.conftest import flat_demand, make_dataset, offset_demand
+from tests.conftest import flat_demand, make_dataset, offset_demand, row_keys
 
 
 def spiky(distance, base=100.0):
@@ -85,7 +85,7 @@ class TestBuildPairs:
         )
         table = build_pairs(ds)
         assert len(table) == 2
-        assert set(table.keys()) == {("X", "L1"), ("X", "L2")}
+        assert set(row_keys(table)) == {("X", "L1"), ("X", "L2")}
 
     def test_pair_profile_of_identical_customers(self):
         demand = offset_demand(100, 30)
@@ -134,7 +134,7 @@ class TestBuildPairs:
         ]
         t1 = build_pairs(make_dataset(rows))
         t2 = build_pairs(make_dataset(rows[::-1]))
-        assert t1.keys() == t2.keys()
+        assert row_keys(t1) == row_keys(t2)
         for p in range(len(t1)):
             assert member_ids(t1, p) == member_ids(t2, p)
         assert np.array_equal(t1.profiles, t2.profiles)
@@ -432,7 +432,7 @@ class TestCsvRoundTrip:
         write_pair_table(table, path)
         loaded = read_pair_table(path, dataset)
         assert len(loaded) == len(table)
-        assert loaded.keys() == table.keys()
+        assert row_keys(loaded) == row_keys(table)
         assert np.array_equal(loaded.member_rows, table.member_rows)
         for p in range(len(table)):
             assert member_ids(loaded, p) == member_ids(table, p)
@@ -498,7 +498,7 @@ class TestCsvRoundTrip:
         path.write_text("\n".join([header] + rows) + "\n")
         for data in (dataset, None):
             loaded = read_pair_table(path, data)
-            assert loaded.keys() == table.keys()
+            assert row_keys(loaded) == row_keys(table)
             for column in COLUMNS:
                 assert np.array_equal(getattr(loaded, column), getattr(table, column)), column
         assert np.array_equal(read_pair_table(path, dataset).member_rows, table.member_rows)

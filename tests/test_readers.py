@@ -10,14 +10,15 @@ tokenizer that must read it.
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from retail_profiler import model, pairing
+from retail_profiler import model, pairing, synth
 from retail_profiler.model import CUSTOMER_CSV_HEADER, DataError, load_customers, save_customers
 from retail_profiler.pairing import PAIR_TABLE_HEADER, attach_kpis, build_pairs, read_pair_table, write_pair_table
-from retail_profiler.targets import constant_resolver, default_solar_target
+from retail_profiler.targets import constant_resolver, default_solar_target, flat_target
 from tests import reader_oracle
 from tests.conftest import flat_demand, make_dataset, offset_demand
 
@@ -335,6 +336,9 @@ def test_saved_customers_are_read_in_bulk(tmp_path, monkeypatch, mid_run):
     refuse_csv_tokenizer(monkeypatch)
     loaded = load_customers(path)
     assert loaded.ids == dataset.ids
+    assert (loaded.naces, loaded.locations) == (dataset.naces, dataset.locations)
+    assert loaded.nace.tobytes() == dataset.nace.tobytes()
+    assert loaded.location.tobytes() == dataset.location.tobytes()
     assert loaded.raw_demand.tobytes() == dataset.raw_demand.tobytes()
     assert loaded.contracted_kw.tobytes() == dataset.contracted_kw.tobytes()
 
@@ -349,3 +353,80 @@ def test_written_pair_table_is_read_in_bulk(tmp_path, monkeypatch, mid_run):
     assert loaded.member_rows.tobytes() == table.member_rows.tobytes()
     assert loaded.d_k.tobytes() == table.d_k.tobytes()
     assert loaded.profiles.tobytes() == table.profiles.tobytes()
+
+
+# -- key codes ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [2, 4096])
+def test_tokenizers_give_the_same_key_codes(tmp_path, monkeypatch, block):
+    """Both tokenizers code the stripped keys into one sorted vocabulary, "" first when present."""
+    set_block(monkeypatch, block)
+    path = tmp_path / "customers.csv"
+    path.write_text(customer_file(
+        customer("A", "", "P2"), customer("B", "J61.1", ""), customer("C", " J61.1 ", "P1"),
+        customer("D", "A01", " "), customer("E", "ç", "P1"), customer("F", "J61.1", "P2"),
+    ))
+    csv_reads = csv_tokenizer_calls(monkeypatch)
+    plain = load_customers(path)
+
+    def not_plain(*args):
+        raise model._NotPlain
+
+    monkeypatch.setattr(model, "_plain_blocks", not_plain)
+    tokenized = load_customers(path)
+    assert csv_reads == [path]
+    for got in (plain, tokenized):
+        assert got.naces == ("", "A01", "J61.1", "ç")
+        assert got.locations == ("", "P1", "P2")
+        assert got.nace.tolist() == [0, 2, 2, 1, 3, 2]
+        assert got.location.tolist() == [2, 0, 1, 0, 1, 2]
+        assert got.has_keys_mask.tolist() == [False, False, True, False, True, True]
+
+
+# -- allocations ------------------------------------------------------------
+
+
+def traced(read, *args):
+    """What ``read`` returns, the traced bytes it still holds on return, and its traced peak."""
+    tracemalloc.start()
+    try:
+        result = read(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+@pytest.fixture(scope="module")
+def written_inputs(tmp_path_factory):
+    """A customer file of 6000 rows and its pair table, as the package writes them."""
+    config = synth.SynthConfig(
+        n_customers=6000, n_locations=600, n_nace=50, pair_concentration=3.0, max_pair_size=20, seed=3
+    )
+    dataset, _ = synth.generate(config, flat_target())
+    root = tmp_path_factory.mktemp("written")
+    save_customers(dataset, root / "customers.csv")
+    write_pair_table(build_pairs(dataset), root / "pairs.csv")
+    return root / "customers.csv", root / "pairs.csv"
+
+
+def test_readers_let_go_of_their_blocks(monkeypatch, written_inputs):
+    """A reader's traced peak is what it returns plus a bounded multiple of the numbers it returns.
+
+    With 64-row blocks the file spans about 94 blocks, so a list of blocks
+    kept alive while the next full-size array is built shows as a whole
+    extra copy of the numbers: a reader that held its block list past the
+    concatenation peaked at 1.8-2.4 (customers) and 4.0 (pair table) times
+    its numbers above what it returns; one that lets the blocks go peaks at
+    1.2 and 2.7.
+    """
+    monkeypatch.setattr(model, "_BLOCK", 64)
+    customers, pairs = written_inputs
+    dataset, kept, peak = traced(load_customers, customers)
+    numbers = dataset.raw_demand.nbytes + dataset.contracted_kw.nbytes
+    assert peak - kept <= 1.5 * numbers
+    dataset.pair_groups  # cached before the trace, so the trace sees the reader alone
+    table, kept, peak = traced(read_pair_table, pairs, dataset)
+    numbers = sum(column.nbytes for column in (table.profiles, table.avg_contracted, table.avg_demand, table.n_k))
+    assert peak - kept <= 3.4 * numbers

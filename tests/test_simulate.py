@@ -21,7 +21,7 @@ from retail_profiler.simulate import (
     write_curve,
 )
 from retail_profiler.targets import constant_resolver, default_solar_target, flat_target
-from tests.conftest import flat_demand, make_dataset, offset_demand
+from tests.conftest import flat_demand, make_dataset, offset_demand, rows_of
 
 FLAT = flat_target()
 RESOLVER = constant_resolver(FLAT)
@@ -95,7 +95,7 @@ class TestGreedy:
             d_k=np.array([0.3, 0.2, 0.2]),
             e_k=np.full(3, 0.5),
             E_k=np.full(3, 0.5),
-            member_rows=ds.rows_of(("A-m", "B-m", "C-m")),
+            member_rows=rows_of(ds, ("A-m", "B-m", "C-m")),
             dataset=ds,
         )
         seq = greedy_sequence(table, seed=0)
@@ -260,6 +260,23 @@ class TestRows:
         seq = power_sequence(table, "contracted", seed=0, per_customer=True)
         assert seq.ids == ("a", "a\0")
 
+    def test_one_id_order_serves_members_and_power_ties(self):
+        # Python string order: "a10" < "a9", "Z" < "a" < "a\0" < "a1" < "ab", and code points above ASCII last
+        ids = ["a9", "a10", "ab", "客户", "a1", "é", "Z", "a", "a\0", "z", "ä", "a9a"]
+        rows = [(cid, "X" if i % 3 else "Y", "L1", float(i % 2), offset_demand(100, 10 + i % 2))
+                for i, cid in enumerate(ids)]
+        ds, table = kpi_table(rows)
+        assert [ds.ids[i] for i in ds.id_order] == sorted(ids)
+        groups = ds.pair_groups
+        for members in np.split(groups.rows, groups.offsets[1:-1]):
+            member_ids = [ds.ids[i] for i in members]
+            assert member_ids == sorted(member_ids)
+        powers = {"contracted": ds.contracted_kw, "demanded": ds.raw_demand.mean(axis=1)}
+        for key, power in powers.items():
+            seq = power_sequence(table, key, seed=0, per_customer=True)
+            assert seq.rows.tolist() == sorted(range(len(ids)), key=lambda i: (-power[i], ds.ids[i]))
+        assert [ds.index_of(cid) for cid in ids] == list(range(len(ids)))
+
     def test_per_customer_ranks_only_the_listed_customers(self, tmp_path):
         ds, table = mixed_table()
         path = tmp_path / "pairs.csv"
@@ -275,7 +292,7 @@ class TestRows:
 class TestAccumulate:
     def test_perfect_customer_gives_zero(self):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
-        seq = AcquisitionSequence(rows=ds.rows_of(("A",)), dataset=ds, strategy="random", seed=0)
+        seq = AcquisitionSequence(rows=rows_of(ds, ("A",)), dataset=ds, strategy="random", seed=0)
         curve = accumulate_curve(seq, FLAT)
         assert curve.distance.tolist() == [0.0]
 
@@ -283,7 +300,7 @@ class TestAccumulate:
         demand = offset_demand(100, 30)
         ds = make_dataset([("A", "X", "L1", 1.0, demand), ("B", "X", "L1", 1.0, demand)])
         seq = AcquisitionSequence(
-            rows=ds.rows_of(("A", "B")), dataset=ds, strategy="random", seed=0
+            rows=rows_of(ds, ("A", "B")), dataset=ds, strategy="random", seed=0
         )
         curve = accumulate_curve(seq, FLAT)
         assert curve.distance[0] == curve.distance[1]
@@ -314,14 +331,14 @@ class TestAccumulate:
     def test_unknown_id(self):
         ds = make_dataset([("A", "X", "L1", 1.0, flat_demand())])
         with pytest.raises(DataError, match="unknown customer id: 'GHOST'"):
-            ds.rows_of(("A", "GHOST"))
+            rows_of(ds, ("A", "GHOST"))
 
     def test_zero_demand_id(self):
         ds = make_dataset(
             [("A", "X", "L1", 1.0, flat_demand()), ("Z", "X", "L1", 1.0, [0.0] * 12)]
         )
         seq = AcquisitionSequence(
-            rows=ds.rows_of(("A", "Z")), dataset=ds, strategy="random", seed=0
+            rows=rows_of(ds, ("A", "Z")), dataset=ds, strategy="random", seed=0
         )
         with pytest.raises(DataError, match="customer 'Z' has zero demand"):
             accumulate_curve(seq, FLAT)

@@ -20,6 +20,7 @@ from retail_profiler.pairing import IdentificationStats, IndicatorMatrix, PairTa
 from retail_profiler.simulate import BaselineCurve, DistanceCurve
 from retail_profiler.synth import GroundTruth
 from tests import writer_oracle
+from tests.conftest import row_keys
 
 BLOCK = 4
 SIZES = [0, 1, BLOCK, BLOCK + 1]
@@ -60,7 +61,7 @@ def same_bytes(tmp_path, write, oracle, *args):
 
 def dataset(n: int, kind: str) -> CustomerDataset:
     # each month column holds every float once per 12 rows, so no row sum overflows
-    return CustomerDataset(
+    return CustomerDataset.from_strings(
         ids=tuple(texts(n, kind, "id")),
         nace=tuple(texts(n, kind, "n")),
         location=tuple(texts(n, kind, "l")),
@@ -76,7 +77,7 @@ def test_save_customers(tmp_path, n, kind):
 
 
 def test_save_customers_with_empty_keys(tmp_path):
-    ds = CustomerDataset(
+    ds = CustomerDataset.from_strings(
         ids=("A", "B", "C"), nace=("", "J", ""), location=("L", "", ""),
         contracted_kw=np.zeros(3), raw_demand=np.ones((3, MONTHS)),
     )
@@ -92,7 +93,7 @@ def test_write_ground_truth(tmp_path, n, kind):
     same_bytes(tmp_path, synth.write_ground_truth, writer_oracle.write_ground_truth, ds, truth)
     pairs, planted = writer_oracle.read_ground_truth(tmp_path / "ours.csv")
     assert planted == truth.planted_ids
-    assert pairs == {cid: (nace, location) for cid, nace, location in zip(ds.ids, ds.nace, ds.location)}
+    assert pairs == dict(zip(ds.ids, row_keys(ds)))
 
 
 def pair_table(n: int, kind: str, kpis: str) -> PairTable:

@@ -15,7 +15,7 @@ import csv
 import math
 from pathlib import Path
 
-from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset, _csv_rows
+from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset, _csv_rows, decode
 from retail_profiler.pairing import (
     MATRIX_CSV_HEADER,
     PAIR_TABLE_HEADER,
@@ -25,6 +25,7 @@ from retail_profiler.pairing import (
 )
 from retail_profiler.simulate import BaselineCurve, DistanceCurve
 from retail_profiler.synth import GROUND_TRUTH_HEADER, GroundTruth, PairKey
+from tests.conftest import row_keys
 
 _BLOCK = 4096
 
@@ -45,7 +46,8 @@ def save_customers(dataset: CustomerDataset, path) -> None:
             writer.writerows(
                 [cid, nace, location, format_float(kw)] + list(map(format_float, monthly))
                 for cid, nace, location, kw, monthly in zip(
-                    dataset.ids[block], dataset.nace[block], dataset.location[block],
+                    dataset.ids[block], decode(dataset.naces, dataset.nace[block]),
+                    decode(dataset.locations, dataset.location[block]),
                     dataset.contracted_kw[block].tolist(), dataset.raw_demand[block].tolist(),
                 )
             )
@@ -59,7 +61,8 @@ def write_ground_truth(dataset: CustomerDataset, truth: GroundTruth, path) -> No
         writer.writerow(GROUND_TRUTH_HEADER)
         for i, cid in enumerate(dataset.ids):
             writer.writerow(
-                (cid, int(cid in truth.planted_ids), dataset.nace[i], dataset.location[i])
+                (cid, int(cid in truth.planted_ids), dataset.naces[dataset.nace[i]],
+                 dataset.locations[dataset.location[i]])
             )
 
 
@@ -77,7 +80,7 @@ def read_ground_truth(path) -> tuple[dict[str, PairKey], frozenset[str]]:
 
 def write_pair_table(table: PairTable, path) -> None:
     path = Path(path)
-    keys = table.keys()
+    keys = row_keys(table)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PAIR_TABLE_HEADER)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from retail_profiler import pairing, synth, targets
-from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset, decode
+from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset
 
 
 def write_customer_csv(path, rows):
@@ -43,7 +43,8 @@ def make_dataset(rows) -> CustomerDataset:
 
 def row_keys(columns) -> list[tuple[str, str]]:
     """Each row's (nace, location) strings, in row order, of a customer dataset or a pair table."""
-    return list(zip(decode(columns.naces, columns.nace), decode(columns.locations, columns.location)))
+    codes = zip(columns.nace.tolist(), columns.location.tolist())
+    return [(columns.naces[nace], columns.locations[location]) for nace, location in codes]
 
 
 def rows_of(dataset, customer_ids) -> np.ndarray:

@@ -414,12 +414,12 @@ def written_inputs(tmp_path_factory):
 def test_readers_let_go_of_their_blocks(monkeypatch, written_inputs):
     """A reader's traced peak is what it returns plus a bounded multiple of the numbers it returns.
 
-    With 64-row blocks the file spans about 94 blocks, so a list of blocks
+    With 64-row blocks the files span 94 and 71 blocks, so a list of blocks
     kept alive while the next full-size array is built shows as a whole
     extra copy of the numbers: a reader that held its block list past the
-    concatenation peaked at 1.8-2.4 (customers) and 4.0 (pair table) times
+    concatenation peaked at 2.35 (customers) and 3.96 (pair table) times
     its numbers above what it returns; one that lets the blocks go peaks at
-    1.2 and 2.7.
+    1.19 and 2.65.
     """
     monkeypatch.setattr(model, "_BLOCK", 64)
     customers, pairs = written_inputs

@@ -192,8 +192,8 @@ class TestGroundTruthSidecar:
         pairs, planted = read_ground_truth(path)
         assert planted == truth.planted_ids
         assert len(pairs) == ds.total
-        for i, cid in enumerate(ds.ids):
-            assert pairs[cid] == row_keys(ds)[i]
+        for cid, key in zip(ds.ids, row_keys(ds)):
+            assert pairs[cid] == key
 
     def test_histogram_property(self):
         truth = GroundTruth(

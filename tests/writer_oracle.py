@@ -15,7 +15,7 @@ import csv
 import math
 from pathlib import Path
 
-from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset, _csv_rows, decode
+from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset, _csv_rows
 from retail_profiler.pairing import (
     MATRIX_CSV_HEADER,
     PAIR_TABLE_HEADER,
@@ -46,8 +46,8 @@ def save_customers(dataset: CustomerDataset, path) -> None:
             writer.writerows(
                 [cid, nace, location, format_float(kw)] + list(map(format_float, monthly))
                 for cid, nace, location, kw, monthly in zip(
-                    dataset.ids[block], decode(dataset.naces, dataset.nace[block]),
-                    decode(dataset.locations, dataset.location[block]),
+                    dataset.ids[block], [dataset.naces[code] for code in dataset.nace[block]],
+                    [dataset.locations[code] for code in dataset.location[block]],
                     dataset.contracted_kw[block].tolist(), dataset.raw_demand[block].tolist(),
                 )
             )

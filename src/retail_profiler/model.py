@@ -17,7 +17,6 @@ unit mean. Shape is what matters; absolute magnitude is deliberately dropped.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
@@ -124,14 +123,13 @@ class PairGroups:
 class CustomerDataset:
     """Immutable column-wise customer table.
 
-    Row i's nace is ``naces[nace[i]]`` and its location
-    ``locations[location[i]]``: the key columns are ``intp`` codes into sorted
-    vocabularies of distinct strings (:meth:`from_strings` builds them from
-    one string per row). Rows with an empty nace or location are retained
-    (and counted in ``total``) but excluded from pairing; rows with zero
-    annual demand are likewise retained but cannot be profiled.
-    ``pairable_mask`` selects the rows eligible for every KPI computation. The
-    dataset is safe for unrestricted concurrent reads once constructed.
+    Row i's nace is ``naces[nace[i]]`` and its location ``locations[location[i]]``:
+    the key columns are ``intp`` codes into sorted vocabularies of distinct
+    strings. Rows with an empty nace or location are retained (and counted in
+    ``total``) but excluded from pairing; rows with zero annual demand are
+    likewise retained but cannot be profiled. ``pairable_mask`` selects the
+    rows eligible for every KPI computation. The dataset is safe for
+    unrestricted concurrent reads once constructed.
     """
 
     ids: tuple[str, ...]
@@ -143,13 +141,6 @@ class CustomerDataset:
     raw_demand: np.ndarray
     diagnostics: tuple[str, ...] = ()
 
-    @classmethod
-    def from_strings(cls, ids, nace, location, contracted_kw, raw_demand, diagnostics=()) -> CustomerDataset:
-        """A dataset from key columns that hold one string per row."""
-        naces, locations = tuple(sorted(set(nace))), tuple(sorted(set(location)))
-        nace, location = encode(nace, naces), encode(location, locations)
-        return cls(tuple(ids), nace, location, naces, locations, contracted_kw, raw_demand, tuple(diagnostics))
-
     def __post_init__(self):
         n = len(self.ids)
         for name, vocabulary in (("nace", self.naces), ("location", self.locations)):
@@ -160,6 +151,7 @@ class CustomerDataset:
                 raise ValueError(f"the {name} vocabulary must be sorted and distinct")
             codes.setflags(write=False)
             object.__setattr__(self, name, codes)
+            object.__setattr__(self, name + "s", tuple(vocabulary))
         contracted = np.asarray(self.contracted_kw, dtype=np.float64)
         raw = np.ascontiguousarray(self.raw_demand, dtype=np.float64)
         if contracted.shape != (n,) or raw.shape != (n, MONTHS):
@@ -232,19 +224,22 @@ class CustomerDataset:
     # -- row access ---------------------------------------------------------
 
     @cached_property
-    def id_order(self) -> np.ndarray:
-        """Every row, in Python string order of the ids: the one sort of the ids."""
-        order = np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.intp)
+    def pairable_order(self) -> np.ndarray:
+        """The pairable rows, in Python string order of their ids: the one sort of the ids."""
+        order = np.array(sorted(self.pairable_indices.tolist(), key=self.ids.__getitem__), dtype=np.intp)
         order.setflags(write=False)
         return order
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {cid: i for i, cid in enumerate(self.ids)}
+
     def index_of(self, customer_id: str) -> int:
         """The row of a customer id."""
-        order = self.id_order
-        i = bisect_left(order, customer_id, key=self.ids.__getitem__)
-        if i == order.size or self.ids[order[i]] != customer_id:
-            raise DataError(f"unknown customer id: {customer_id!r}")
-        return int(order[i])
+        try:
+            return self._index[customer_id]
+        except KeyError:
+            raise DataError(f"unknown customer id: {customer_id!r}") from None
 
     @cached_property
     def pair_groups(self) -> PairGroups:
@@ -253,7 +248,7 @@ class CustomerDataset:
         Each group lists its rows in customer-id order, so member order (and
         every seeded shuffle of it) does not depend on the input row order.
         """
-        rows = self.id_order[self.pairable_mask[self.id_order]]
+        rows = self.pairable_order
         key = pair_codes(self.nace[rows], self.location[rows], self.locations)
         order = np.argsort(key, kind="stable")
         rows, key = rows[order], key[order]
@@ -390,14 +385,9 @@ def _plain_blocks(path: Path, header: tuple[str, ...]):
                 raise _NotPlain
             while block := list(islice(fh, _BLOCK)):
                 text = "".join(block)
-                crlf = text.count("\r\n")
-                if '"' in text or "\0" in text or text.count("\r") != crlf:
+                if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
                     raise _NotPlain
-                # csv.writer ends every line with CRLF; only mixed line ends cost a copy of the block
-                if crlf == text.count("\n"):
-                    rows = text.split("\r\n")
-                else:
-                    rows = text.replace("\r\n", "\n").split("\n")
+                rows = text.replace("\r\n", "\n").split("\n")
                 if text.endswith("\n"):
                     rows.pop()
                 cells = [row.split(",", _TEXT_COLUMNS) for row in rows]

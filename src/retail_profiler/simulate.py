@@ -159,7 +159,7 @@ def power_sequence(
     if per_customer:
         dataset = _member_dataset(table)
         # in id order first, so the stable power sort breaks ties by Python string order
-        idx = dataset.id_order[np.isin(dataset.id_order, table.member_rows)]
+        idx = dataset.pairable_order[np.isin(dataset.pairable_order, table.member_rows)]
         power = (
             dataset.contracted_kw[idx]
             if key == "contracted"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from retail_profiler import pairing, synth, targets
-from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset
+from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset, encode
 
 
 def write_customer_csv(path, rows):
@@ -30,9 +30,16 @@ def offset_demand(base=100.0, swing=50.0):
     return [base + swing if j % 2 == 0 else base - swing for j in range(12)]
 
 
+def dataset_from_strings(ids, nace, location, contracted_kw, raw_demand, diagnostics=()) -> CustomerDataset:
+    """A dataset from key columns that hold one string per row."""
+    naces, locations = tuple(sorted(set(nace))), tuple(sorted(set(location)))
+    nace, location = encode(nace, naces), encode(location, locations)
+    return CustomerDataset(tuple(ids), nace, location, naces, locations, contracted_kw, raw_demand, tuple(diagnostics))
+
+
 def make_dataset(rows) -> CustomerDataset:
     """Dataset from (id, nace, location, kw, demand-list) tuples."""
-    return CustomerDataset.from_strings(
+    return dataset_from_strings(
         ids=tuple(r[0] for r in rows),
         nace=tuple(r[1] for r in rows),
         location=tuple(r[2] for r in rows),

@@ -28,6 +28,7 @@ from retail_profiler.model import (
 )
 from retail_profiler.pairing import MAX_PAIR_SIZE, PAIR_TABLE_HEADER, PairTable
 from retail_profiler.synth import PairKey
+from tests.conftest import dataset_from_strings
 
 _BLOCK = 4096
 
@@ -94,7 +95,7 @@ def _read_customer_rows(path: Path) -> CustomerDataset:
                 )
 
     n = len(ids)
-    dataset = CustomerDataset.from_strings(
+    dataset = dataset_from_strings(
         ids=tuple(ids),
         nace=tuple(naces),
         location=tuple(locations),

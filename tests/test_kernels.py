@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from retail_profiler import kernels
-from retail_profiler.model import CustomerDataset
 from retail_profiler.simulate import AcquisitionSequence, accumulate_curve
 from retail_profiler.targets import flat_target
+from tests.conftest import dataset_from_strings
 
 
 def naive_accumulate(raw, target):
@@ -116,7 +116,7 @@ def test_zero_row_in_a_later_chunk_rejected(sample, monkeypatch, kernel):
 def test_accumulate_curve_holds_no_copy_of_the_sequence_rows():
     n = 200_000
     rng = np.random.default_rng(15)
-    dataset = CustomerDataset.from_strings(
+    dataset = dataset_from_strings(
         ids=tuple(map(str, range(n))),
         nace=("X",) * n,
         location=("L",) * n,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from retail_profiler.model import (
+    CustomerDataset,
     DuplicateIdError,
     SchemaError,
     TargetProfile,
@@ -214,6 +215,21 @@ class TestDataset:
 
         with pytest.raises(DataError, match="unknown customer id"):
             ds.index_of("nope")
+
+    def test_list_vocabularies_are_kept_as_tuples(self):
+        # an empty nace or location sorts first, at code 0, and bars its row from pairing
+        ds = CustomerDataset(
+            ("A", "B", "C", "D"),
+            np.array([0, 1, 1, 0]),
+            np.array([1, 0, 1, 1]),
+            ["", "X"],
+            ["", "L1"],
+            np.zeros(4),
+            np.ones((4, 12)),
+        )
+        assert ds.naces == ("", "X") and ds.locations == ("", "L1")
+        assert ds.has_keys_mask.tolist() == [False, False, True, False]
+        assert ds.pairable_count == 1 and ds.excluded == 3
 
     def test_pair_groups_partition_pairable_rows(self):
         ds = make_dataset(

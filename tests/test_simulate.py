@@ -266,7 +266,7 @@ class TestRows:
         rows = [(cid, "X" if i % 3 else "Y", "L1", float(i % 2), offset_demand(100, 10 + i % 2))
                 for i, cid in enumerate(ids)]
         ds, table = kpi_table(rows)
-        assert [ds.ids[i] for i in ds.id_order] == sorted(ids)
+        assert [ds.ids[i] for i in ds.pairable_order] == sorted(ids)
         groups = ds.pair_groups
         for members in np.split(groups.rows, groups.offsets[1:-1]):
             member_ids = [ds.ids[i] for i in members]

@@ -20,7 +20,7 @@ from retail_profiler.pairing import IdentificationStats, IndicatorMatrix, PairTa
 from retail_profiler.simulate import BaselineCurve, DistanceCurve
 from retail_profiler.synth import GroundTruth
 from tests import writer_oracle
-from tests.conftest import row_keys
+from tests.conftest import dataset_from_strings, row_keys
 
 BLOCK = 4
 SIZES = [0, 1, BLOCK, BLOCK + 1]
@@ -61,7 +61,7 @@ def same_bytes(tmp_path, write, oracle, *args):
 
 def dataset(n: int, kind: str) -> CustomerDataset:
     # each month column holds every float once per 12 rows, so no row sum overflows
-    return CustomerDataset.from_strings(
+    return dataset_from_strings(
         ids=tuple(texts(n, kind, "id")),
         nace=tuple(texts(n, kind, "n")),
         location=tuple(texts(n, kind, "l")),
@@ -77,7 +77,7 @@ def test_save_customers(tmp_path, n, kind):
 
 
 def test_save_customers_with_empty_keys(tmp_path):
-    ds = CustomerDataset.from_strings(
+    ds = dataset_from_strings(
         ids=("A", "B", "C"), nace=("", "J", ""), location=("L", "", ""),
         contracted_kw=np.zeros(3), raw_demand=np.ones((3, MONTHS)),
     )

@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -157,18 +156,6 @@ def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("RETAIL_PROFILER_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        return _count(env)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise DataError(f"RETAIL_PROFILER_THREADS={env!r} is not a positive integer") from None
 
 
 # -- commands -----------------------------------------------------------------
@@ -320,7 +307,7 @@ def cmd_simulate(args) -> int:
     baseline = None
     if "random" in strategies:
         baseline = baseline_band(
-            dataset, target, n, reps=args.reps, seed=args.seed, threads=_threads(args)
+            dataset, target, n, reps=args.reps, seed=args.seed, threads=args.threads
         )
         write_baseline(baseline, out / "baseline.csv")
         outputs.append("baseline.csv")
@@ -439,7 +426,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="order power strategies by individual customers instead of pair averages",
     )
-    p.add_argument("--threads", type=_count, help="baseline worker threads (default: $RETAIL_PROFILER_THREADS or 1)")
+    p.add_argument("--threads", type=_count, default=1, help="baseline worker threads (default: 1)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -314,32 +314,41 @@ _TEXT_COLUMNS = 3
 _ZERO_DEMAND_NOTE = "line {}: customer {!r} has zero annual demand; excluded from profiling"
 
 
-class _NotPlain(Exception):
-    """The plain splitter cannot tokenize this file; ``csv.reader`` tokenizes it instead."""
+def _decoded(path: Path, fh):
+    """The lines of an open text file; text that is not UTF-8 is a DataError naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _rows(path: Path, lines, header: tuple[str, ...] | None, first: int):
+    """Yield ``(line number, cells)`` for each non-blank row ``csv.reader`` reads from ``lines``.
+
+    ``lines`` are a file's lines from line ``first`` on; a row is numbered by
+    the line it ends on, ``csv.reader`` counting lines from ``first``. With
+    a ``header``, the first row must be ``header`` once its cells are
+    stripped, or a SchemaError names the file; with None it is yielded like
+    any other. Text ``csv.reader`` rejects (such as a cell over its field
+    limit) is a DataError naming the file and the line.
+    """
+    reader = csv.reader(lines)
+    try:
+        if header is not None:
+            got = next(reader, None)
+            if got is None or tuple(h.strip() for h in got) != header:
+                raise SchemaError(f"{path}: header mismatch; expected {','.join(header)}")
+        for row in reader:
+            if row:
+                yield first - 1 + reader.line_num, row
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {first - 1 + reader.line_num}: {exc}") from None
 
 
 def _csv_rows(path: Path, header: tuple[str, ...] | None):
-    """Yield ``(line number, cells)`` for each non-blank row of a CSV file after its header.
-
-    The first row must be ``header`` once its cells are stripped, or a
-    SchemaError names the file; with ``header`` None the first row is yielded
-    like any other. Text that is not UTF-8, or that ``csv.reader`` rejects
-    (such as a cell over its field limit), is a DataError naming the file.
-    """
+    """The :func:`_rows` of a whole CSV file, numbered from 1; text that is not UTF-8 is a DataError."""
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            if header is not None:
-                got = next(reader, None)
-                if got is None or tuple(h.strip() for h in got) != header:
-                    raise SchemaError(f"{path}: header mismatch; expected {','.join(header)}")
-            for row in reader:
-                if row:
-                    yield reader.line_num, row
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from None
-        except csv.Error as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        yield from _rows(path, _decoded(path, fh), header, 1)
 
 
 def _block(lines: np.ndarray, strings, numbers: np.ndarray | None, rows, width: int):
@@ -367,35 +376,42 @@ def _block(lines: np.ndarray, strings, numbers: np.ndarray | None, rows, width: 
     return lines, strings, numbers, errors
 
 
-def _plain_blocks(path: Path, header: tuple[str, ...]):
-    """Yield the :func:`_block` of each block of ``_BLOCK`` lines of a plain CSV.
+def _blocks(path: Path, header: tuple[str, ...]):
+    """Yield the :func:`_block` of each block of a CSV file after its header.
 
-    Each block's numbers come from one ``np.loadtxt`` call, which accepts a
-    subset of the cells ``float`` accepts and gives the same values. A plain
-    file is UTF-8 with exactly the given header, LF or CRLF line ends (the
-    latter is what ``csv.writer`` writes), no quote, NUL, bare CR or blank
-    line, and a cell after the first ``_TEXT_COLUMNS`` on every line; for any
-    other file this raises _NotPlain.
+    While the file is plain, each block of ``_BLOCK`` lines is split with
+    string methods, and its numbers come from one ``np.loadtxt`` call, which
+    accepts a subset of the cells ``float`` accepts and gives the same values.
+    A plain block has LF or CRLF line ends (the latter is what ``csv.writer``
+    writes), no quote, NUL, bare CR or blank line, and a cell after the first
+    ``_TEXT_COLUMNS`` on every line; a plain header line is exactly
+    ``header``. At the first line that is not plain, ``csv.reader`` takes
+    over: it reads from the header line, or from the first line of the block
+    that holds that line, to the end of the file, counting lines from there
+    (see :func:`_rows`). Its blocks are ``_BLOCK`` non-blank rows, their
+    numbers from one ``np.array(cells, dtype=np.float64)`` call, which parses
+    each cell as ``float`` does; a row with the wrong field count has empty
+    text cells. Text that is not UTF-8 is a DataError naming the file.
     """
-    head = ",".join(header)
-    line = 2
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            if fh.readline() not in (head, head + "\n", head + "\r\n"):
-                raise _NotPlain
-            while block := list(islice(fh, _BLOCK)):
+    head, width = ",".join(header), len(header)
+    with path.open(newline="", encoding="utf-8") as fh:
+        source = _decoded(path, fh)
+        block, line = list(islice(source, 1)), 1
+        if block and block[0] in (head, head + "\n", head + "\r\n"):
+            header, line = None, 2
+            while block := list(islice(source, _BLOCK)):
                 text = "".join(block)
                 if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-                    raise _NotPlain
+                    break
                 rows = text.replace("\r\n", "\n").split("\n")
                 if text.endswith("\n"):
                     rows.pop()
                 cells = [row.split(",", _TEXT_COLUMNS) for row in rows]
                 if min(map(len, cells)) <= _TEXT_COLUMNS:  # also a blank line
-                    raise _NotPlain
+                    break
                 *strings, tails = zip(*cells)
                 if "" in tails:  # loadtxt would skip the line
-                    raise _NotPlain
+                    break
                 try:
                     # comments=None: the default "#" would cut a cell short
                     numbers = np.loadtxt(tails, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
@@ -403,41 +419,18 @@ def _plain_blocks(path: Path, header: tuple[str, ...]):
                     numbers = None
                 lines = np.arange(line, line + len(rows))
                 line += len(rows)
-                yield _block(lines, strings, numbers, lambda: [row.split(",") for row in rows], len(header))
-    except UnicodeDecodeError:
-        raise _NotPlain from None
-
-
-def _csv_blocks(path: Path, header: tuple[str, ...]):
-    """Yield the :func:`_block` of each block of ``_BLOCK`` rows that ``csv.reader`` reads.
-
-    Each block's numbers come from one ``np.array(cells, dtype=np.float64)``
-    call, which parses each cell as ``float`` does. A row with the wrong field
-    count has empty text cells.
-    """
-    width = len(header)
-    reader = _csv_rows(path, header)
-    while block := list(islice(reader, _BLOCK)):
-        lines, rows = zip(*block)
-        strings = zip(*(row[:_TEXT_COLUMNS] if len(row) == width else [""] * _TEXT_COLUMNS for row in rows))
-        try:
-            numbers = np.array([row[_TEXT_COLUMNS:] for row in rows], dtype=np.float64)
-        except ValueError:
-            numbers = None
-        yield _block(np.array(lines), tuple(strings), numbers, lambda: rows, width)
-
-
-def _read_csv(path: Path, header: tuple[str, ...], check):
-    """``check`` applied to the tokenized blocks of a CSV file.
-
-    The plain splitter tokenizes the file if it can; otherwise ``csv.reader``
-    tokenizes it from the start. Both give the same blocks, so ``check``
-    holds the only copy of the file's row rules.
-    """
-    try:
-        return check(_plain_blocks(path, header))
-    except _NotPlain:
-        return check(_csv_blocks(path, header))
+                yield _block(lines, strings, numbers, lambda: [row.split(",") for row in rows], width)
+            else:
+                return
+        reader = _rows(path, chain(block, source), header, line)
+        while block := list(islice(reader, _BLOCK)):
+            lines, rows = zip(*block)
+            strings = zip(*(row[:_TEXT_COLUMNS] if len(row) == width else [""] * _TEXT_COLUMNS for row in rows))
+            try:
+                numbers = np.array([row[_TEXT_COLUMNS:] for row in rows], dtype=np.float64)
+            except ValueError:
+                numbers = None
+            yield _block(np.array(lines), tuple(strings), numbers, lambda: rows, width)
 
 
 def load_customers(path) -> CustomerDataset:
@@ -450,7 +443,7 @@ def load_customers(path) -> CustomerDataset:
     the load.
     """
     path = Path(path)
-    return _read_csv(path, CUSTOMER_CSV_HEADER, lambda blocks: _checked_customers(path, blocks))
+    return _checked_customers(path, _blocks(path, CUSTOMER_CSV_HEADER))
 
 
 def _checked_customers(path: Path, blocks) -> CustomerDataset:

@@ -31,9 +31,9 @@ from retail_profiler.model import (
     DataError,
     PairGroups,
     SchemaError,
+    _blocks,
     _csv_rows,
     _KeyCodes,
-    _read_csv,
     decode,
     encode,
     pair_codes,
@@ -387,7 +387,7 @@ def read_pair_table(path, dataset: CustomerDataset | None = None) -> PairTable:
     (nace, location) order.
     """
     path = Path(path)
-    return _read_csv(path, PAIR_TABLE_HEADER, lambda blocks: _checked_table(path, blocks, dataset))
+    return _checked_table(path, _blocks(path, PAIR_TABLE_HEADER), dataset)
 
 
 def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairTable:

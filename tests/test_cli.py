@@ -563,24 +563,6 @@ class TestSimulate:
         for name in ("baseline.csv", "curve_eid.csv", "curve_contracted.csv", "curve_demanded.csv"):
             assert digest(tmp_path / "t1" / name) == digest(tmp_path / "t2" / name)
 
-    def test_threads_env_fallback(self, workspace, tmp_path, monkeypatch):
-        out_serial = tmp_path / "serial"
-        out_env = tmp_path / "env"
-        args = [
-            "simulate",
-            "--customers", str(workspace / "data" / "customers.csv"),
-            "--pairs", str(workspace / "kpis" / "pairs.csv"),
-            "--target", "solar:default",
-            "--strategies", "random",
-            "-n", "100",
-            "--reps", "6",
-            "--seed", "3",
-        ]
-        assert main(args + ["--out", str(out_serial), "--threads", "1"]) == 0
-        monkeypatch.setenv("RETAIL_PROFILER_THREADS", "3")
-        assert main(args + ["--out", str(out_env)]) == 0
-        assert digest(out_serial / "baseline.csv") == digest(out_env / "baseline.csv")
-
     def test_default_n_is_the_customers_the_table_lists(self, workspace, tmp_path):
         # a pairs.csv cut to its first rows lists fewer customers than are pairable
         header, *rows = (workspace / "kpis" / "pairs.csv").read_text().splitlines()
@@ -605,24 +587,6 @@ class TestSimulate:
             lines = (tmp_path / "sim" / name).read_text().splitlines()
             assert len(lines) == listed + 1
             assert lines[-1].startswith(f"{listed},")
-
-    def test_threads_env_must_be_positive(self, workspace, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RETAIL_PROFILER_THREADS", "-3")
-        code = main(
-            [
-                "simulate",
-                "--customers", str(workspace / "data" / "customers.csv"),
-                "--pairs", str(workspace / "kpis" / "pairs.csv"),
-                "--target", "solar:default",
-                "--strategies", "random",
-                "-n", "10",
-                "--reps", "2",
-                "--seed", "3",
-                "--out", str(tmp_path / "sim"),
-            ]
-        )
-        assert code == 2
-        assert "RETAIL_PROFILER_THREADS='-3'" in capsys.readouterr().err
 
 
 class TestTargetSpecs:

@@ -1,7 +1,8 @@
 """CLI fuzz: mutated key cells never crash ``pairs``, ``stats`` or ``matrix``.
 
-Each example mutates one cell of one tiny input file: a key cell of the
-customers, pair-table or mapping CSV, or one numeric cell. The three commands
+Each example mutates one tiny input file: a key cell of the customers,
+pair-table or mapping CSV, one numeric cell, a blank line after a data row, or
+a UTF-8 byte order mark before the header. The three commands
 then run in fresh interpreters, each with a timeout, and must exit 0 or 2
 without a traceback or a numpy RuntimeWarning on stderr. The examples are
 derandomized and never read from or saved to the example database, so a
@@ -52,7 +53,13 @@ KEY_EDITS = {
     "repeated": lambda cell, others: others[0],
     "unmapped": lambda cell, others: "ZZ-unmapped",
 }
-NUMBER_EDITS = ["", "nan", "-1", "1e309", "5e-324", "0", "abc", "1_0", "١"]
+NUMBER_EDITS = ["", "nan", "-1", "1e309", "5e-324", "0", "abc", "1_0", "١", "9" * 30]
+
+# a whole file's new rows, given its rows and a data row
+FILE_EDITS = {
+    "blank-line": lambda rows, row: rows[:row + 1] + [[]] + rows[row + 1:],
+    "bom": lambda rows, row: [["\ufeff" + rows[0][0], *rows[0][1:]], *rows[1:]],
+}
 
 
 def run(*args):
@@ -128,9 +135,11 @@ def test_untouched_inputs_pass(tmp_path, pair_rows):
 
 
 @st.composite
-def places(draw, numeric: bool):
+def places(draw, edit: str):
     """(file, data row draw, column, whether the file is written through csv.writer)."""
-    if numeric:
+    if edit in FILE_EDITS:
+        name, column = draw(st.sampled_from(sorted(KEY_COLUMNS) + ["solar"])), None
+    elif edit not in KEY_EDITS:
         name = draw(st.sampled_from(["customers", "pairs"]))
         last = len(CUSTOMER_CSV_HEADER) if name == "customers" else len(pairing.PAIR_TABLE_HEADER)
         column = draw(st.integers(len(KEY_COLUMNS[name]), last - 1))
@@ -140,16 +149,29 @@ def places(draw, numeric: bool):
     return name, draw(st.integers(0, 99)), column, draw(st.booleans())
 
 
-@pytest.mark.parametrize("edit", sorted(KEY_EDITS) + NUMBER_EDITS)
+@pytest.mark.parametrize("edit", sorted(KEY_EDITS) + NUMBER_EDITS + sorted(FILE_EDITS))
 @settings(max_examples=2, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_inputs_exit_zero_or_two(tmp_path_factory, pair_rows, edit, data):
-    name, row, column, quoted = data.draw(places(numeric=edit not in KEY_EDITS))
+    name, row, column, quoted = data.draw(places(edit))
     files = inputs(pair_rows)
     rows = [list(r) for r in files[name][0]]
     row = 1 + row % (len(rows) - 1)
-    cell = rows[row][column]
-    others = [r[column] for r in rows[1:] if r[column] != cell] or [cell]
-    rows[row][column] = KEY_EDITS[edit](cell, others) if edit in KEY_EDITS else edit
+    if edit in FILE_EDITS:
+        rows = FILE_EDITS[edit](rows, row)
+    else:
+        cell = rows[row][column]
+        others = [r[column] for r in rows[1:] if r[column] != cell] or [cell]
+        rows[row][column] = KEY_EDITS[edit](cell, others) if edit in KEY_EDITS else edit
     files[name] = (rows, quoted)
     assert_clean(run_pipeline(tmp_path_factory.mktemp("fuzz"), files))
+
+
+def test_huge_n_k_exits_two(tmp_path, pair_rows):
+    """The number edits' draws leave n_k to chance, so the huge integer is put there once for sure."""
+    rows = [list(r) for r in pair_rows]
+    rows[1][pairing.PAIR_TABLE_HEADER.index("n_k")] = "9" * 30
+    files = dict(inputs(pair_rows), pairs=(rows, False))
+    procs = run_pipeline(tmp_path, files)
+    assert_clean(procs[1:], codes=(2,))
+    assert all("pairs.csv: line 2: " in proc.stderr for proc in procs[1:])

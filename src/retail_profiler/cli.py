@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from retail_profiler import __version__, model
@@ -177,7 +178,7 @@ def cmd_synth(args) -> int:
     _write_manifest(
         out,
         "synth",
-        params={"config": config.to_dict(), "target": spec},
+        params={"config": asdict(config), "target": spec},
         inputs=[config_path],
         outputs=["customers.csv", "ground_truth.csv"],
     )

@@ -314,14 +314,6 @@ _TEXT_COLUMNS = 3
 _ZERO_DEMAND_NOTE = "line {}: customer {!r} has zero annual demand; excluded from profiling"
 
 
-def _decoded(path: Path, fh):
-    """The lines of an open text file; text that is not UTF-8 is a DataError naming the file."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
 def _rows(path: Path, lines, header: tuple[str, ...] | None, first: int):
     """Yield ``(line number, cells)`` for each non-blank row ``csv.reader`` reads from ``lines``.
 
@@ -348,7 +340,10 @@ def _rows(path: Path, lines, header: tuple[str, ...] | None, first: int):
 def _csv_rows(path: Path, header: tuple[str, ...] | None):
     """The :func:`_rows` of a whole CSV file, numbered from 1; text that is not UTF-8 is a DataError."""
     with path.open(newline="", encoding="utf-8") as fh:
-        yield from _rows(path, _decoded(path, fh), header, 1)
+        try:
+            yield from _rows(path, fh, header, 1)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def _block(lines: np.ndarray, strings, numbers: np.ndarray | None, rows, width: int):
@@ -383,54 +378,58 @@ def _blocks(path: Path, header: tuple[str, ...]):
     string methods, and its numbers come from one ``np.loadtxt`` call, which
     accepts a subset of the cells ``float`` accepts and gives the same values.
     A plain block has LF or CRLF line ends (the latter is what ``csv.writer``
-    writes), no quote, NUL, bare CR or blank line, and a cell after the first
-    ``_TEXT_COLUMNS`` on every line; a plain header line is exactly
-    ``header``. At the first line that is not plain, ``csv.reader`` takes
-    over: it reads from the header line, or from the first line of the block
-    that holds that line, to the end of the file, counting lines from there
-    (see :func:`_rows`). Its blocks are ``_BLOCK`` non-blank rows, their
-    numbers from one ``np.array(cells, dtype=np.float64)`` call, which parses
-    each cell as ``float`` does; a row with the wrong field count has empty
-    text cells. Text that is not UTF-8 is a DataError naming the file.
+    writes), no quote, NUL, bare CR, blank line or line longer than the
+    ``csv`` field limit, and a cell after the first ``_TEXT_COLUMNS`` on
+    every line; a plain header line is exactly ``header``. At the first line
+    that is not plain, ``csv.reader`` takes over: it reads from the header
+    line, or from the first line of the block that holds that line, to the
+    end of the file, counting lines from there (see :func:`_rows`). Its
+    blocks are ``_BLOCK`` non-blank rows, their numbers from one
+    ``np.array(cells, dtype=np.float64)`` call, which parses each cell as
+    ``float`` does; a row with the wrong field count has empty text cells.
+    Text that is not UTF-8 is a DataError naming the file.
     """
     head, width = ",".join(header), len(header)
     with path.open(newline="", encoding="utf-8") as fh:
-        source = _decoded(path, fh)
-        block, line = list(islice(source, 1)), 1
-        if block and block[0] in (head, head + "\n", head + "\r\n"):
-            header, line = None, 2
-            while block := list(islice(source, _BLOCK)):
-                text = "".join(block)
-                if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-                    break
-                rows = text.replace("\r\n", "\n").split("\n")
-                if text.endswith("\n"):
-                    rows.pop()
-                cells = [row.split(",", _TEXT_COLUMNS) for row in rows]
-                if min(map(len, cells)) <= _TEXT_COLUMNS:  # also a blank line
-                    break
-                *strings, tails = zip(*cells)
-                if "" in tails:  # loadtxt would skip the line
-                    break
+        try:
+            block, line = list(islice(fh, 1)), 1
+            if block and block[0] in (head, head + "\n", head + "\r\n"):
+                header, line = None, 2
+                while block := list(islice(fh, _BLOCK)):
+                    text = "".join(block)
+                    if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
+                            or max(map(len, block)) > csv.field_size_limit()):
+                        break
+                    rows = text.replace("\r\n", "\n").split("\n")
+                    if text.endswith("\n"):
+                        rows.pop()
+                    cells = [row.split(",", _TEXT_COLUMNS) for row in rows]
+                    if min(map(len, cells)) <= _TEXT_COLUMNS:  # also a blank line
+                        break
+                    *strings, tails = zip(*cells)
+                    if "" in tails:  # loadtxt would skip the line
+                        break
+                    try:
+                        # comments=None: the default "#" would cut a cell short
+                        numbers = np.loadtxt(tails, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+                    except ValueError:
+                        numbers = None
+                    lines = np.arange(line, line + len(rows))
+                    line += len(rows)
+                    yield _block(lines, strings, numbers, lambda: [row.split(",") for row in rows], width)
+                else:
+                    return
+            reader = _rows(path, chain(block, fh), header, line)
+            while block := list(islice(reader, _BLOCK)):
+                lines, rows = zip(*block)
+                strings = zip(*(row[:_TEXT_COLUMNS] if len(row) == width else [""] * _TEXT_COLUMNS for row in rows))
                 try:
-                    # comments=None: the default "#" would cut a cell short
-                    numbers = np.loadtxt(tails, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+                    numbers = np.array([row[_TEXT_COLUMNS:] for row in rows], dtype=np.float64)
                 except ValueError:
                     numbers = None
-                lines = np.arange(line, line + len(rows))
-                line += len(rows)
-                yield _block(lines, strings, numbers, lambda: [row.split(",") for row in rows], width)
-            else:
-                return
-        reader = _rows(path, chain(block, source), header, line)
-        while block := list(islice(reader, _BLOCK)):
-            lines, rows = zip(*block)
-            strings = zip(*(row[:_TEXT_COLUMNS] if len(row) == width else [""] * _TEXT_COLUMNS for row in rows))
-            try:
-                numbers = np.array([row[_TEXT_COLUMNS:] for row in rows], dtype=np.float64)
-            except ValueError:
-                numbers = None
-            yield _block(np.array(lines), tuple(strings), numbers, lambda: rows, width)
+                yield _block(np.array(lines), tuple(strings), numbers, lambda: rows, width)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def load_customers(path) -> CustomerDataset:

@@ -17,7 +17,7 @@ form worst-case distance for planted customers
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,14 @@ GROUND_TRUTH_HEADER = ("id", "planted", "pair_nace", "pair_location")
 _DIVISION_LETTERS = "ABCDEFGHIJKLMNOPQRSTU"
 
 
+# Sector archetype amplitudes and noise levels are drawn uniformly from these
+# ranges; a customer's scale is lognormal with this median (kWh) and log-sigma.
+AMPLITUDE_RANGE = (0.1, 0.6)
+SECTOR_NOISE_RANGE = (0.08, 0.2)
+SCALE_MEDIAN_KWH = 2000.0
+SCALE_LOG_SIGMA = 0.8
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Generator knobs; all randomness flows from ``seed``.
@@ -46,9 +54,10 @@ class SynthConfig:
     P(size = s) proportional to s**-concentration on 1..max_pair_size that
     pair cardinalities are drawn from; larger values concentrate mass on
     singletons. Sector archetypes are summer/winter-peaked sinusoids with
-    per-sector amplitude, peak month and noise level drawn from the given
-    ranges. Planted customers use the run target's shape with noise level
-    ``noise_sigma`` and always sit in pairs of their own.
+    per-sector amplitude, peak month and noise level drawn from
+    ``AMPLITUDE_RANGE`` and ``SECTOR_NOISE_RANGE``. Planted customers use the
+    run target's shape with noise level ``noise_sigma`` and always sit in
+    pairs of their own.
     """
 
     n_customers: int
@@ -56,64 +65,36 @@ class SynthConfig:
     n_nace: int
     pair_concentration: float = 2.0
     max_pair_size: int = 1000
-    amplitude_range: tuple[float, float] = (0.1, 0.6)
-    sector_noise_range: tuple[float, float] = (0.08, 0.2)
     planted_fraction: float = 0.0
     noise_sigma: float = 0.05
-    scale_median_kwh: float = 2000.0
-    scale_log_sigma: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.n_customers, self.n_locations, self.n_nace, self.max_pair_size, self.seed)
+        if not all(isinstance(count, int) and count < 2**63 for count in counts):
+            raise ValueError("n_customers, n_locations, n_nace, max_pair_size and seed must be integers below 2**63")
         if min(self.n_customers, self.n_locations, self.n_nace) < 1:
             raise ValueError("n_customers, n_locations and n_nace must all be >= 1")
         if not 0.0 <= self.planted_fraction <= 1.0:
             raise ValueError("planted_fraction must be in [0, 1]")
         if not 0.0 <= self.noise_sigma < 1.0 / 3.0:
             raise ValueError("noise_sigma must be in [0, 1/3) to keep demands positive")
-        lo, hi = self.sector_noise_range
-        if not 0.0 <= lo <= hi < 1.0 / 3.0:
-            raise ValueError("sector_noise_range must lie in [0, 1/3)")
-        lo, hi = self.amplitude_range
-        if not 0.0 < lo <= hi < 1.0:
-            raise ValueError("amplitude_range must lie in (0, 1)")
-        if self.pair_concentration <= 0:
+        if not self.pair_concentration > 0:
             raise ValueError("pair_concentration must be > 0")
         if self.max_pair_size < 1:
             raise ValueError("max_pair_size must be >= 1")
-        if self.scale_median_kwh <= 0 or self.scale_log_sigma < 0:
-            raise ValueError("scale parameters must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
     @classmethod
-    def reference(cls) -> "SynthConfig":
-        """The fixed-seed configuration used throughout the test suite."""
-        return cls(
-            n_customers=100_000,
-            n_locations=200,
-            n_nace=150,
-            planted_fraction=0.02,
-            noise_sigma=0.05,
-            seed=42,
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthConfig":
-        kwargs = dict(data)
-        for field in ("amplitude_range", "sector_noise_range"):
-            if field in kwargs and isinstance(kwargs[field], list):
-                kwargs[field] = tuple(kwargs[field])
+    def from_dict(cls, data) -> "SynthConfig":
+        """The config a JSON object names; anything else, or a bad key or value, is a DataError."""
+        if not isinstance(data, dict):
+            raise DataError("bad generator config: not a JSON object")
         try:
-            return cls(**kwargs)
-        except TypeError as exc:
+            return cls(**data)
+        except (TypeError, ValueError) as exc:
             raise DataError(f"bad generator config: {exc}") from None
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["amplitude_range"] = list(self.amplitude_range)
-        data["sector_noise_range"] = list(self.sector_noise_range)
-        return data
 
 
 class PairKey(NamedTuple):
@@ -204,9 +185,9 @@ def generate(config: SynthConfig, target: TargetProfile) -> tuple[CustomerDatase
     locations = _location_codes(config.n_locations)
     naces = _nace_codes(config.n_nace)
 
-    amplitudes = rng.uniform(*config.amplitude_range, size=config.n_nace)
+    amplitudes = rng.uniform(*AMPLITUDE_RANGE, size=config.n_nace)
     peaks = rng.integers(1, MONTHS + 1, size=config.n_nace)
-    sector_sigma = rng.uniform(*config.sector_noise_range, size=config.n_nace)
+    sector_sigma = rng.uniform(*SECTOR_NOISE_RANGE, size=config.n_nace)
 
     n_planted = round(config.planted_fraction * config.n_customers)
     if n_planted and np.any(target.values <= 0):
@@ -246,7 +227,7 @@ def generate(config: SynthConfig, target: TargetProfile) -> tuple[CustomerDatase
         sigma[cust_planted] = config.noise_sigma
 
     noise = 1.0 + 3.0 * sigma[:, None] * rng.uniform(-1.0, 1.0, size=(n, MONTHS))
-    scale = rng.lognormal(math.log(config.scale_median_kwh), config.scale_log_sigma, size=n)
+    scale = rng.lognormal(math.log(SCALE_MEDIAN_KWH), SCALE_LOG_SIGMA, size=n)
     raw = scale[:, None] * shape * noise
     contracted = np.round(scale / 730.0 * rng.uniform(1.2, 2.5, size=n), 3)
 

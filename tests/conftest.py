@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from retail_profiler import pairing, synth, targets
 from retail_profiler.model import CUSTOMER_CSV_HEADER, CustomerDataset, encode
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+
+
+def reference_config() -> synth.SynthConfig:
+    """The fixed-seed generator config the repo ships, as ``synth --config`` reads it."""
+    return synth.SynthConfig.from_dict(json.loads(REFERENCE_CONFIG.read_text()))
 
 
 def write_customer_csv(path, rows):
@@ -67,7 +76,7 @@ def solar_default():
 @pytest.fixture(scope="session")
 def reference_run(solar_default):
     """The fixed-seed reference dataset with its ground truth."""
-    config = synth.SynthConfig.reference()
+    config = reference_config()
     dataset, truth = synth.generate(config, solar_default)
     return config, dataset, truth
 

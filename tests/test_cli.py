@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import retail_profiler
-from retail_profiler import metrics, pairing, targets
+from retail_profiler import metrics, pairing, simulate, targets
 from retail_profiler.cli import main, parse_target_spec
 from retail_profiler.model import DataError, load_customers, normalize_profile
 from tests.conftest import flat_demand, offset_demand, row_keys, write_customer_csv
@@ -205,6 +205,23 @@ class TestExitCodes:
         problem = f"{header} {code!r} maps to an empty {mapped}" if cell == "value" else f"empty {header}"
         assert proc.stderr == f"error: {mapping}: line 3: {problem}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"n_customers": 0}, {"noise_sigma": 0.5}, [1, 2, 3], {"seed": 1.5}, {"n_customers": 10.5},
+         {"n_customers": 10**30}, {"pair_concentration": float("nan")}, {"scale_log_sigma": 0.8}],
+        ids=["zero-count", "noise-sigma-too-large", "json-array", "float-seed", "float-count", "count-past-int64",
+             "nan-concentration", "former-setting"],
+    )
+    def test_bad_synth_config_is_two(self, tmp_path, config):
+        if isinstance(config, dict):
+            config = {"n_customers": 50, "n_locations": 5, "n_nace": 5, **config}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("synth", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -562,6 +579,63 @@ class TestSimulate:
         assert main(args + ["--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
         for name in ("baseline.csv", "curve_eid.csv", "curve_contracted.csv", "curve_demanded.csv"):
             assert digest(tmp_path / "t1" / name) == digest(tmp_path / "t2" / name)
+
+    def test_checkpoints_pick_the_reduction_rows(self, workspace, tmp_path):
+        out = tmp_path / "sim"
+        code = main(
+            [
+                "simulate",
+                "--customers", str(workspace / "data" / "customers.csv"),
+                "--pairs", str(workspace / "kpis" / "pairs.csv"),
+                "--target", "solar:default",
+                "-n", "200",
+                "--reps", "5",
+                "--seed", "3",
+                "--checkpoints", "150,7,50,7",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        reductions = (out / "reduction.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in reductions[1:]] == ["7", "50", "150"]
+
+    @pytest.mark.parametrize("spec", ["10,x", "1.5", "0", "201"])
+    def test_bad_checkpoints_are_two(self, workspace, tmp_path, spec):
+        proc = run_cli(
+            "simulate",
+            "--customers", str(workspace / "data" / "customers.csv"),
+            "--pairs", str(workspace / "kpis" / "pairs.csv"),
+            "--target", "solar:default",
+            "-n", "200",
+            "--reps", "3",
+            "--seed", "1",
+            "--checkpoints", spec,
+            "--out", str(tmp_path / "sim"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: checkpoints")
+        assert "Traceback" not in proc.stderr
+
+    def test_per_customer_power_orders_customers(self, workspace, tmp_path):
+        args = [
+            "simulate",
+            "--customers", str(workspace / "data" / "customers.csv"),
+            "--pairs", str(workspace / "kpis" / "pairs.csv"),
+            "--target", "solar:default",
+            "--strategies", "contracted",
+            "--seed", "6",
+        ]
+        assert main(args + ["--per-customer-power", "--out", str(tmp_path / "own")]) == 0
+        assert main(args + ["--out", str(tmp_path / "pair")]) == 0
+        manifest = json.loads((tmp_path / "own" / "manifest.json").read_text())
+        assert manifest["parameters"]["per_customer_power"] is True
+        dataset = load_customers(workspace / "data" / "customers.csv")
+        table = pairing.read_pair_table(workspace / "kpis" / "pairs.csv", dataset)
+        sequence = simulate.power_sequence(table, "contracted", 6, per_customer=True)
+        simulate.write_curve(simulate.accumulate_curve(sequence, targets.default_solar_target()), tmp_path / "expected.csv")
+        got = (tmp_path / "own" / "curve_contracted.csv").read_bytes()
+        assert got == (tmp_path / "expected.csv").read_bytes()
+        assert got != (tmp_path / "pair" / "curve_contracted.csv").read_bytes()
 
     def test_default_n_is_the_customers_the_table_lists(self, workspace, tmp_path):
         # a pairs.csv cut to its first rows lists fewer customers than are pairable

@@ -53,7 +53,9 @@ def csv_reads(monkeypatch):
         reads.append(read)
         return csv.reader(read.append(line) or line for line in lines)
 
-    monkeypatch.setattr(model, "csv", SimpleNamespace(reader=reader, writer=csv.writer, Error=csv.Error))
+    monkeypatch.setattr(model, "csv", SimpleNamespace(
+        reader=reader, writer=csv.writer, Error=csv.Error, field_size_limit=csv.field_size_limit
+    ))
     return reads
 
 
@@ -439,6 +441,31 @@ def test_late_block_errors_match_the_referee(tmp_path, monkeypatch):
     with pytest.raises(DataError) as got:
         load_customers(path)
     assert str(got.value) == f"{path}: {referee.value}"
+
+
+@pytest.mark.parametrize("block", [2, 4096])
+@pytest.mark.parametrize(
+    "build,read,referee",
+    [
+        (lambda cells, cell: customer_file(ROWS[0], customer(cell), ROWS[1]), load_customers,
+         reader_oracle._read_customer_rows),
+        (lambda cells, cell: text_of(edit("nace", cell))(cells), read_pair_table,
+         functools.partial(reader_oracle._read_pair_rows, dataset=None)),
+    ],
+    ids=["customers", "pairs"],
+)
+def test_unquoted_cell_over_field_limit_is_a_data_error(tmp_path, monkeypatch, pair_rows, block, build, read, referee):
+    """A plain-looking line longer than the csv field limit goes to csv.reader, which refuses its cell on line 3."""
+    set_block(monkeypatch, block)
+    path = tmp_path / "data.csv"
+    path.write_text(build(pair_rows[0], "x" * (csv.field_size_limit() + 1)))
+    with pytest.raises(csv.Error) as expected:
+        referee(path)
+    reads = csv_reads(monkeypatch)
+    with pytest.raises(DataError) as got:
+        read(path)
+    assert str(got.value) == f"{path}: line 3: {expected.value}"
+    assert csv_start(reads, path) == hand_over(3, block)
 
 
 # -- the plain splitter tokenizes the files the package writes ------------

@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from retail_profiler.synth import (
     write_ground_truth,
 )
 from retail_profiler.targets import constant_resolver, default_solar_target, flat_target
-from tests.conftest import row_keys
+from tests.conftest import REFERENCE_CONFIG, reference_config, row_keys
 from tests.writer_oracle import read_ground_truth
 
 
@@ -49,22 +51,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(noise_sigma=0.4)
         with pytest.raises(ValueError):
-            small_config(amplitude_range=(0.5, 1.2))
-        with pytest.raises(ValueError):
-            small_config(sector_noise_range=(0.2, 0.5))
-        with pytest.raises(ValueError):
             small_config(pair_concentration=-1)
+        with pytest.raises(ValueError):
+            small_config(n_nace="3")
+        with pytest.raises(ValueError):
+            small_config(max_pair_size=2**63)
 
     def test_dict_round_trip(self):
         config = small_config()
-        assert SynthConfig.from_dict(config.to_dict()) == config
+        assert SynthConfig.from_dict(asdict(config)) == config
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(DataError):
             SynthConfig.from_dict({"n_customers": 1, "bogus": 2})
+        with pytest.raises(DataError):  # a former setting, now a constant
+            SynthConfig.from_dict(asdict(small_config()) | {"amplitude_range": [0.1, 0.6]})
 
     def test_reference_values(self):
-        ref = SynthConfig.reference()
+        ref = reference_config()
         assert ref.n_customers == 100_000
         assert ref.n_locations == 200
         assert ref.n_nace == 150
@@ -73,11 +77,10 @@ class TestConfig:
         assert ref.seed == 42
 
     def test_shipped_reference_config_file_matches(self):
-        import json
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
-        assert SynthConfig.from_dict(json.loads(path.read_text())) == SynthConfig.reference()
+        assert json.loads(REFERENCE_CONFIG.read_text()).keys() == {field.name for field in fields(SynthConfig)}
+        assert reference_config() == SynthConfig(
+            n_customers=100_000, n_locations=200, n_nace=150, planted_fraction=0.02, noise_sigma=0.05, seed=42
+        )
 
 
 class TestGenerate:

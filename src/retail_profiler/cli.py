@@ -169,6 +169,8 @@ def cmd_synth(args) -> int:
             config = SynthConfig.from_dict(json.load(fh))
     except json.JSONDecodeError as exc:
         raise DataError(f"{config_path}: invalid JSON ({exc})") from None
+    except DataError as exc:
+        raise DataError(f"{config_path}: {exc}") from None
     _, target, spec = parse_target_spec(args.target)
     target = _require_global_target(target, args.target)
     dataset, truth = generate(config, target)

@@ -66,27 +66,34 @@ def unit_mean_rows(
     return out
 
 
-def accumulate_distance_curve(raw, rows, target) -> np.ndarray:
+def accumulate_distance_curve(raw, rows, target, carry=None, start=0) -> np.ndarray:
     """Distance of the running (normalized) row sum to ``target`` after each row.
 
     ``raw[rows[i]]`` is appended to a running monthly sum at step i; the sum
     is normalized to unit mean and its RMSD to the target recorded. Every
     prefix must have positive total demand, which holds whenever each row
     does. Raises OverflowError when the running total leaves the float64 range.
+
+    A sequence may be walked in pieces: ``carry``, when given, is read as the
+    running sum before ``rows[0]`` and overwritten with the sum after the last
+    row, and ``start`` is the number of steps before ``rows[0]``, from which
+    an overflow's step is counted. Pieces that start at multiples of
+    ``_CHUNK`` give the bits of one call, as the sum restarts at every chunk.
     """
     t = np.asarray(target, dtype=np.float64)
     out = np.empty(len(rows), dtype=np.float64)
-    carry = np.zeros(t.size, dtype=np.float64)
+    if carry is None:
+        carry = np.zeros(t.size, dtype=np.float64)
     for lo, hi, block in _chunks(raw, rows, t):
         # the rest works in place on the chunk buffer: no chunk-sized temporaries
         with np.errstate(over="ignore"):  # an overflow shows as a non-finite mean
             sums = np.cumsum(block, axis=0, out=block)
             sums += carry
-            carry = sums[-1].copy()
+            carry[:] = sums[-1]
             means = sums.mean(axis=1)
         finite = np.isfinite(means)
         if not finite.all():
-            step = lo + int(finite.argmin()) + 1
+            step = start + lo + int(finite.argmin()) + 1
             raise OverflowError(f"running demand sum overflows float64 at step {step}")
         unit_mean_rows(sums, means, out=sums)
         sums -= t

@@ -390,6 +390,11 @@ def read_pair_table(path, dataset: CustomerDataset | None = None) -> PairTable:
     return _checked_table(path, _blocks(path, PAIR_TABLE_HEADER), dataset)
 
 
+def _n_k_bound(n_k: int) -> str:
+    """The message for an ``n_k`` outside ``1..MAX_PAIR_SIZE``."""
+    return f"n_k must be >= 1, got {n_k}" if n_k < 1 else f"n_k must be <= {MAX_PAIR_SIZE}, got {n_k}"
+
+
 def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairTable:
     """The pair table of a tokenized file; raises a DataError for the first failing line.
 
@@ -424,7 +429,10 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
                         + [math.nan if cell == "" else float(cell) for cell in row[5:8]]
                         + [float(cell) for cell in row[8:]]
                     )
-            except (ValueError, OverflowError) as exc:
+            except OverflowError:  # a well-formed n_k past int64
+                error = DataError(f"{path}: line {lines[i]}: {_n_k_bound(int(n_k_cells[i]))}")
+                break
+            except ValueError as exc:
                 error = DataError(f"{path}: line {lines[i]}: malformed numeric field ({exc})")
                 break
         n = i if error is not None else n
@@ -472,8 +480,7 @@ def _checked_table(path: Path, blocks, dataset: CustomerDataset | None) -> PairT
             (group >= 0) & (sizes != n_k),
             lambda i: f"pair {key(i)} has {sizes[i]} customers in the data, but the table says n_k={n_k[i]}",
         ))
-    checks.append((n_k < 1, lambda i: f"n_k must be >= 1, got {n_k[i]}"))
-    checks.append((n_k > MAX_PAIR_SIZE, lambda i: f"n_k must be <= {MAX_PAIR_SIZE}, got {n_k[i]}"))
+    checks.append(((n_k < 1) | (n_k > MAX_PAIR_SIZE), lambda i: _n_k_bound(n_k[i])))
     for j, name in enumerate(PAIR_TABLE_HEADER[3:8]):
         column = values[:, j]
         if j < 2:

@@ -13,7 +13,9 @@ derives one child seed per repetition from the master seed via a counter
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,8 @@ STRATEGY_LABELS = ("eid", "contracted", "demanded", "random")
 
 # Columns per np.quantile call in baseline_band.
 QUANTILE_BLOCK = 4096
+# Most column blocks baseline_band takes its steps in.
+BASELINE_PASSES = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,17 +193,27 @@ def accumulate_curve(seq: AcquisitionSequence, target: TargetProfile) -> Distanc
     The running monthly sum is updated incrementally; total cost is linear in
     the sequence length.
     """
+    return DistanceCurve(distance=_distances(seq, target), strategy=seq.strategy)
+
+
+def _distances(
+    seq: AcquisitionSequence, target: TargetProfile, lo: int = 0, hi: int | None = None, carry=None
+) -> np.ndarray:
+    """Distances at steps ``lo + 1 .. hi`` of ``seq``.
+
+    ``carry``, when given, holds the running sum of the first ``lo`` rows and
+    is left holding the sum of the first ``hi`` (see the kernel).
+    """
     dataset = seq.dataset
-    rows = seq.rows
+    rows = seq.rows[lo:hi]
     zero = ~dataset.nonzero_mask[rows]
     if zero.any():
         bad = dataset.ids[rows[zero.argmax()]]
         raise DataError(f"customer {bad!r} has zero demand and cannot be accumulated")
     try:
-        distances = kernels.accumulate_distance_curve(dataset.raw_demand, rows, target.values)
+        return kernels.accumulate_distance_curve(dataset.raw_demand, rows, target.values, carry, lo)
     except OverflowError as exc:
         raise DataError(f"{seq.strategy} sequence: {exc}") from None
-    return DistanceCurve(distance=distances, strategy=seq.strategy)
 
 
 def baseline_band(
@@ -212,27 +226,38 @@ def baseline_band(
 ) -> BaselineCurve:
     """Median and quartile curves over ``reps`` independent random sequences.
 
-    Repetition r uses the child seed ``SeedSequence([seed, r])``; repetitions
-    are independent and may run on a thread pool, with results merged by
-    repetition index so the outcome is order-insensitive. Each repetition
-    writes its curve into its own row of one preallocated ``reps x n``
-    float64 stack, the baseline's only full-size buffer.
+    Repetition r uses the child seed ``SeedSequence([seed, r])``. The ``n``
+    steps are taken in at most ``BASELINE_PASSES`` column blocks, each a whole
+    number of kernel chunks. In every block each repetition redraws its
+    sequence (the same rows, bit for bit), walks the block's rows on from its
+    saved running sum and writes the block's curve into its row of one
+    ``reps x width`` float64 buffer; the buffer's quartiles then fill the
+    block's columns of the result. Split at chunk boundaries, a walk sums in
+    the order of one whole-sequence call, so the band equals the quartiles of
+    the full ``reps x n`` stack, which is never held. Repetitions may run on
+    a thread pool, each writing only its own row, so the outcome does not
+    depend on the thread count.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    stack = np.empty((reps, n), dtype=np.float64)
+    chunk = kernels._CHUNK
+    width = chunk * max(1, -(-n // (chunk * BASELINE_PASSES)))
+    block = np.empty((reps, min(width, n)), dtype=np.float64)
+    carries = np.zeros((reps, dataset.raw_demand.shape[1]), dtype=np.float64)
+    bands = np.empty((3, n), dtype=np.float64)
 
-    def one(rep: int) -> None:
+    def one(lo: int, hi: int, rep: int) -> None:
         seq = random_sequence(dataset, n, np.random.SeedSequence([seed, rep]))
-        stack[rep] = accumulate_curve(seq, target).distance
+        block[rep, : hi - lo] = _distances(seq, target, lo, hi, carries[rep])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(reps)))  # re-raises a repetition's error
-    else:
-        for rep in range(reps):
-            one(rep)
-    q1, median, q3 = _quartiles(stack)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    with pool or nullcontext():
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            # either map re-raises the error of the lowest failing repetition
+            list((pool.map if pool else map)(partial(one, lo, hi), range(reps)))
+            bands[:, lo:hi] = _quartiles(block[:, : hi - lo])
+    q1, median, q3 = bands
     return BaselineCurve(median=median, q1=q1, q3=q3, repetitions=reps)
 
 

@@ -32,6 +32,7 @@ from retail_profiler.model import (
     recode,
     write_csv,
 )
+from retail_profiler.pairing import MAX_PAIR_SIZE
 
 GROUND_TRUTH_HEADER = ("id", "planted", "pair_nace", "pair_location")
 
@@ -81,8 +82,8 @@ class SynthConfig:
             raise ValueError("noise_sigma must be in [0, 1/3) to keep demands positive")
         if not self.pair_concentration > 0:
             raise ValueError("pair_concentration must be > 0")
-        if self.max_pair_size < 1:
-            raise ValueError("max_pair_size must be >= 1")
+        if not 1 <= self.max_pair_size <= MAX_PAIR_SIZE:
+            raise ValueError(f"max_pair_size must be in 1..{MAX_PAIR_SIZE}, the n_k a pair table accepts")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

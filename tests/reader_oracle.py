@@ -164,7 +164,13 @@ def _parse_block(rows: list[list[str]], lines: list[int], path: Path, blocks: li
                 + [math.nan if cell == "" else float(cell) for cell in row[5:8]]
                 + [float(cell) for cell in row[8:]]
             )
-        except (ValueError, OverflowError) as exc:
+        except OverflowError:  # a well-formed n_k past int64 is out of its bounds
+            size = int(row[2])
+            bound = ">= 1" if size < 1 else f"<= {MAX_PAIR_SIZE}"
+            error = DataError(f"{path}: line {lines[i]}: n_k must be {bound}, got {size}")
+            n = i
+            break
+        except ValueError as exc:
             error = DataError(f"{path}: line {lines[i]}: malformed numeric field ({exc})")
             n = i
             break

@@ -209,9 +209,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "config",
         [{"n_customers": 0}, {"noise_sigma": 0.5}, [1, 2, 3], {"seed": 1.5}, {"n_customers": 10.5},
-         {"n_customers": 10**30}, {"pair_concentration": float("nan")}, {"scale_log_sigma": 0.8}],
+         {"n_customers": 10**30}, {"pair_concentration": float("nan")}, {"scale_log_sigma": 0.8},
+         {"max_pair_size": 2**62}],
         ids=["zero-count", "noise-sigma-too-large", "json-array", "float-seed", "float-count", "count-past-int64",
-             "nan-concentration", "former-setting"],
+             "nan-concentration", "former-setting", "max-pair-size-past-bound"],
     )
     def test_bad_synth_config_is_two(self, tmp_path, config):
         if isinstance(config, dict):
@@ -220,7 +221,7 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         proc = run_cli("synth", "--config", str(path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.startswith(f"error: {path}: bad generator config: ")
         assert "Traceback" not in proc.stderr
 
     def test_help_is_zero(self, capsys):

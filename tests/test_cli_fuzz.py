@@ -174,4 +174,4 @@ def test_huge_n_k_exits_two(tmp_path, pair_rows):
     files = dict(inputs(pair_rows), pairs=(rows, False))
     procs = run_pipeline(tmp_path, files)
     assert_clean(procs[1:], codes=(2,))
-    assert all("pairs.csv: line 2: " in proc.stderr for proc in procs[1:])
+    assert all("pairs.csv: line 2: n_k must be <= 1000000, got " in proc.stderr for proc in procs[1:])

@@ -103,6 +103,38 @@ def test_gathered_rows_give_the_bytes_of_a_copy(sample, shuffled_rows, monkeypat
         assert kernel(raw, shuffled_rows, target).tobytes() == kernel(copy, every_row(copy), target).tobytes()
 
 
+@pytest.mark.parametrize("cuts", [(), (7,), (14, 35), (7, 14, 21, 322)], ids=["whole", "one-cut", "two-cuts", "to-the-end"])
+def test_accumulate_in_pieces_with_carry_gives_the_bytes_of_one_call(sample, shuffled_rows, monkeypatch, cuts):
+    raw, target = sample
+    monkeypatch.setattr(kernels, "_CHUNK", 7)
+    whole = kernels.accumulate_distance_curve(raw, shuffled_rows, target)
+    carry = np.zeros(12)
+    bounds = (0, *cuts, shuffled_rows.size)
+    pieces = [
+        kernels.accumulate_distance_curve(raw, shuffled_rows[lo:hi], target, carry, lo)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    assert np.array_equal(np.concatenate(pieces), whole)
+    # the carry is left holding the running sum after the last row, summed chunk by chunk
+    running = np.zeros(12)
+    for lo in range(0, shuffled_rows.size, 7):
+        running = raw[shuffled_rows[lo:lo + 7]].cumsum(axis=0)[-1] + running
+    assert np.array_equal(carry, running)
+
+
+def test_overflow_in_a_later_piece_reports_the_step_in_the_whole_sequence(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK", 7)
+    raw = np.full((30, 12), 1.0)
+    raw[18:] = 8e306  # a row sums to ~1e308, so the running total first overflows at step 20
+    rows = every_row(raw)
+    with pytest.raises(OverflowError, match="at step 20$"):
+        kernels.accumulate_distance_curve(raw, rows, np.ones(12))
+    carry = np.zeros(12)
+    kernels.accumulate_distance_curve(raw, rows[:14], np.ones(12), carry, 0)
+    with pytest.raises(OverflowError, match="at step 20$"):
+        kernels.accumulate_distance_curve(raw, rows[14:], np.ones(12), carry, 14)
+
+
 @pytest.mark.parametrize("kernel", [kernels.accumulate_distance_curve, kernels.normalized_rmsd])
 def test_zero_row_in_a_later_chunk_rejected(sample, monkeypatch, kernel):
     raw, target = sample

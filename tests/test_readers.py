@@ -317,6 +317,16 @@ def test_pair_readers_agree(tmp_path, monkeypatch, pair_rows, block, with_datase
     assert csv_start(reads, path) == hand_over(not_plain, block)
 
 
+@pytest.mark.parametrize("cell,bound", [("9" * 20, "<= 1000000"), ("-" + "9" * 20, ">= 1")], ids=["high", "low"])
+@pytest.mark.parametrize("read", [read_pair_table, reader_oracle._read_pair_rows], ids=["reader", "referee"])
+def test_n_k_past_int64_reports_its_bound(tmp_path, pair_rows, read, cell, bound):
+    path = tmp_path / "pairs.csv"
+    path.write_text(text_of(edit("n_k", cell))(pair_rows[0]))
+    with pytest.raises(DataError) as caught:
+        read(path, None)
+    assert str(caught.value) == f"{path}: line 3: n_k must be {bound}, got {cell}"
+
+
 def malformed_last_cell(rows):
     rows[-1][-1] = "x"
     return rows

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from retail_profiler import kernels, simulate
 from retail_profiler.model import DataError
 from retail_profiler.pairing import PairTable, attach_kpis, build_pairs, read_pair_table, write_pair_table
 from retail_profiler.simulate import (
+    BASELINE_PASSES,
     QUANTILE_BLOCK,
     AcquisitionSequence,
     BaselineCurve,
@@ -21,12 +24,13 @@ from retail_profiler.simulate import (
     write_curve,
 )
 from retail_profiler.targets import constant_resolver, default_solar_target, flat_target
-from tests.conftest import flat_demand, make_dataset, offset_demand, rows_of
+from tests.conftest import dataset_from_strings, flat_demand, make_dataset, offset_demand, rows_of
 
 FLAT = flat_target()
 RESOLVER = constant_resolver(FLAT)
 # flat customers all fit FLAT, which would make d* = 0; they are scored against this
 SOLAR = constant_resolver(default_solar_target())
+SOLAR_SHAPE = default_solar_target()
 
 
 def kpi_table(rows, resolver=RESOLVER):
@@ -411,6 +415,93 @@ class TestBaseline:
         stack = np.random.default_rng(4).random((9, 2 * QUANTILE_BLOCK + 7))
         expected = np.quantile(stack, [0.25, 0.5, 0.75], axis=0)
         assert np.array_equal(_quartiles(stack), expected)
+
+
+def full_stack_band(dataset, target, n, reps, seed):
+    """Referee of ``baseline_band``: every repetition's whole curve in one ``reps x n`` stack, then its quartiles."""
+    stack = np.empty((reps, n))
+    for rep in range(reps):
+        seq = random_sequence(dataset, n, np.random.SeedSequence([seed, rep]))
+        stack[rep] = accumulate_curve(seq, target).distance
+    return np.quantile(stack, [0.25, 0.5, 0.75], axis=0)
+
+
+def overflow_step(error) -> int:
+    return int(str(error).rsplit(" ", 1)[1])
+
+
+class TestBaselineBlocks:
+    """``baseline_band`` in column blocks of whole kernel chunks, against the full stack."""
+
+    CHUNK = 7
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CHUNK", self.CHUNK)
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        rng = np.random.default_rng(8)
+        return make_dataset([(f"C{i:02d}", "X", "L1", 1.0, list(rng.uniform(1, 500, 12))) for i in range(90)])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 4 * CHUNK + 3, 9 * CHUNK + 5, 90])
+    def test_equals_the_full_stack(self, pool, monkeypatch, n, threads):
+        starts = []
+        kernel = kernels.accumulate_distance_curve
+
+        def recorded(raw, rows, target, carry=None, start=0):
+            starts.append(start)
+            return kernel(raw, rows, target, carry, start)
+
+        monkeypatch.setattr(kernels, "accumulate_distance_curve", recorded)
+        band = baseline_band(pool, SOLAR_SHAPE, n=n, reps=11, seed=6, threads=threads)
+        monkeypatch.setattr(kernels, "accumulate_distance_curve", kernel)
+        q1, median, q3 = full_stack_band(pool, SOLAR_SHAPE, n, 11, 6)
+        assert np.array_equal(band.q1, q1)
+        assert np.array_equal(band.median, median)
+        assert np.array_equal(band.q3, q3)
+        blocks = sorted(set(starts))
+        assert len(starts) == 11 * len(blocks)
+        assert len(blocks) <= BASELINE_PASSES
+        assert all(lo % self.CHUNK == 0 for lo in blocks)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_overflow_names_the_earliest_block_and_the_step_in_the_sequence(self, seed):
+        # two rows of ~1e308 a year: a sequence overflows where it takes the second
+        ds = make_dataset([(f"C{i:02d}", "X", "L1", 1.0, [8e306 if i < 2 else 1.0] * 12) for i in range(40)])
+        steps = []
+        for rep in range(4):
+            with pytest.raises(DataError) as caught:
+                accumulate_curve(random_sequence(ds, 40, np.random.SeedSequence([seed, rep])), FLAT)
+            steps.append(overflow_step(caught.value))
+        width = 2 * self.CHUNK  # 6 chunks in 4 passes
+        first = min(range(4), key=lambda rep: ((steps[rep] - 1) // width, rep))
+        # seed 0: repetition 0 fails in the last block, repetition 1 in the first;
+        # seed 1: all fail in the third block, at steps past its start
+        assert (steps[0] > 2 * width and first == 1) if seed == 0 else (first == 0 and steps[0] > width)
+        for threads in (1, 2):
+            with pytest.raises(DataError) as caught:
+                baseline_band(ds, FLAT, n=40, reps=4, seed=seed, threads=threads)
+            assert str(caught.value) == f"random sequence: running demand sum overflows float64 at step {steps[first]}"
+
+    def test_holds_a_block_not_the_whole_stack(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CHUNK", 1000)
+        monkeypatch.setattr(simulate, "QUANTILE_BLOCK", 512)
+        n, reps = 40_000, 50
+        rng = np.random.default_rng(9)
+        ds = dataset_from_strings(
+            ids=tuple(map(str, range(n))), nace=("X",) * n, location=("L",) * n,
+            contracted_kw=np.ones(n), raw_demand=rng.uniform(0.5, 2.0, size=(n, 12)),
+        )
+        baseline_band(ds, FLAT, n=10, reps=1, seed=1)  # warm the dataset's cached masks
+        tracemalloc.start()
+        try:
+            baseline_band(ds, FLAT, n=n, reps=reps, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < reps * n * 8 / 2
 
 
 class TestReductionCurve:

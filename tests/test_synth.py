@@ -8,7 +8,7 @@ import pytest
 from retail_profiler import kernels
 from retail_profiler.metrics import global_distance
 from retail_profiler.model import DataError, save_customers
-from retail_profiler.pairing import build_pairs, identification_stats
+from retail_profiler.pairing import MAX_PAIR_SIZE, build_pairs, identification_stats
 from retail_profiler.synth import (
     GroundTruth,
     SynthConfig,
@@ -56,6 +56,9 @@ class TestConfig:
             small_config(n_nace="3")
         with pytest.raises(ValueError):
             small_config(max_pair_size=2**63)
+        with pytest.raises(ValueError, match=r"max_pair_size must be in 1\.\.1000000"):
+            small_config(max_pair_size=MAX_PAIR_SIZE + 1)
+        assert small_config(max_pair_size=MAX_PAIR_SIZE).max_pair_size == MAX_PAIR_SIZE
 
     def test_dict_round_trip(self):
         config = small_config()

@@ -5,7 +5,7 @@ what produced them (tool version, parameters, input digests). Commands never
 mutate their inputs, and randomized commands require an explicit seed, so a
 rerun with identical inputs yields byte-identical outputs.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error or an allocation too large to make.
 """
 
 from __future__ import annotations
@@ -447,8 +447,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataError, OSError, UnicodeDecodeError, csv.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DataError, OSError, UnicodeDecodeError, csv.Error, MemoryError) as exc:
+        # a bare MemoryError has no message of its own
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

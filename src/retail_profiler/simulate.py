@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from retail_profiler import kernels
+from retail_profiler import kernels, metrics
 from retail_profiler.model import CustomerDataset, DataError, TargetProfile, write_csv
 from retail_profiler.pairing import PairTable
 
@@ -279,14 +279,8 @@ def _quartiles(stack: np.ndarray) -> np.ndarray:
 def reduction_curve(
     strategy: DistanceCurve, baseline: BaselineCurve, checkpoints: Sequence[int]
 ) -> list[tuple[int, float]]:
-    """Relative reduction versus the baseline median at each checkpoint."""
-    out = []
-    for n in checkpoints:
-        b = baseline.median_at(n)
-        if b == 0:
-            raise DataError(f"baseline median is zero at step {n}; reduction is undefined")
-        out.append((int(n), (b - strategy.at(n)) / b))
-    return out
+    """Relative reduction (:func:`metrics.reduction`) versus the baseline median at each checkpoint."""
+    return [(int(n), metrics.reduction(baseline.median_at(n), strategy.at(n))) for n in checkpoints]
 
 
 # -- CSV exports --------------------------------------------------------------

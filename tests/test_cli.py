@@ -224,6 +224,29 @@ class TestExitCodes:
         assert proc.stderr.startswith(f"error: {path}: bad generator config: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["simulate", "synth"])
+    def test_allocation_past_the_address_space_is_two(self, workspace, tmp_path, command):
+        """Each run asks numpy for PiB, more than any address space holds, so it is refused at once."""
+        if command == "simulate":
+            args = [
+                "--customers", str(workspace / "data" / "customers.csv"),
+                "--pairs", str(workspace / "kpis" / "pairs.csv"),
+                "--target", "solar:default",
+                "-n", "300",
+                "--reps", str(10**12),  # a 10**12 x 300 float64 baseline block: 2.1 PiB
+                "--seed", "1",
+            ]
+        else:
+            path = tmp_path / "config.json"
+            # the planted pair sizes draw 2**62 * 0.02 / 2 float64 uniforms at once: 328 PiB
+            config = {"n_customers": 2**62, "n_locations": 5, "n_nace": 5, "planted_fraction": 0.02}
+            path.write_text(json.dumps(config))
+            args = ["--config", str(path)]
+        proc = run_cli(command, *args, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
 

@@ -1,12 +1,15 @@
-"""CLI fuzz: mutated key cells never crash ``pairs``, ``stats`` or ``matrix``.
+"""CLI fuzz: mutated key cells never crash ``pairs``, ``stats`` or ``matrix``,
+and no argument list crashes ``simulate``.
 
-Each example mutates one tiny input file: a key cell of the customers,
+Each input example mutates one tiny input file: a key cell of the customers,
 pair-table or mapping CSV, one numeric cell, a blank line after a data row, or
 a UTF-8 byte order mark before the header. The three commands
 then run in fresh interpreters, each with a timeout, and must exit 0 or 2
-without a traceback or a numpy RuntimeWarning on stderr. The examples are
-derandomized and never read from or saved to the example database, so a
-run tests the same inputs everywhere.
+without a traceback or a numpy RuntimeWarning on stderr. Each argument example
+runs ``simulate`` on the untouched files with option values drawn from fixed
+lists, and it must exit 0, 1 or 2 the same way. The examples are derandomized
+and never read from or saved to the example database, so a run tests the same
+inputs everywhere.
 """
 
 from __future__ import annotations
@@ -60,6 +63,28 @@ FILE_EDITS = {
     "blank-line": lambda rows, row: rows[:row + 1] + [[]] + rows[row + 1:],
     "bom": lambda rows, row: [["\ufeff" + rows[0][0], *rows[0][1:]], *rows[1:]],
 }
+
+
+def _refuses_huge_allocations() -> bool:
+    """Whether the OS refuses one allocation larger than RAM plus swap (Linux overcommit modes 0 and 2)."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+# simulate's option values, the valid one first; 10**12 repetitions ask for a
+# 10**12 x n float64 block, at least 8 TB, so they are listed only where such a
+# request is refused at once
+SIMULATE_OPTIONS = {
+    "-n": ["1", "6", "0", "-1", "9" * 30, "x"],
+    "--reps": ["1", "3", "0", "-1", "x"] + (["1000000000000"] if _refuses_huge_allocations() else []),
+    "--threads": ["1", "2", "0", "x"],
+    "--seed": ["0", "-1", "9" * 30, "x"],
+    "--checkpoints": ["1", "0", "1,,2", "6,1", "9" * 30, "x"],
+    "--strategies": ["eid,random", "eid", "random", ",", "lunar"],
+}
+VALID_OPTIONS = {flag: values[0] for flag, values in SIMULATE_OPTIONS.items()}
 
 
 def run(*args):
@@ -175,3 +200,31 @@ def test_huge_n_k_exits_two(tmp_path, pair_rows):
     procs = run_pipeline(tmp_path, files)
     assert_clean(procs[1:], codes=(2,))
     assert all("pairs.csv: line 2: n_k must be <= 1000000, got " in proc.stderr for proc in procs[1:])
+
+
+def run_simulate(root: Path, pair_rows, options: dict):
+    """Write the untouched inputs, then run simulate on them with ``options``."""
+    for name, (rows, quoted) in inputs(pair_rows).items():
+        write(root / f"{name}.csv", rows, quoted)
+    return run(
+        "simulate", "--customers", str(root / "customers.csv"), "--pairs", str(root / "pairs.csv"),
+        "--target", "flat", "--out", str(root / "sim"), *(arg for item in options.items() for arg in item),
+    )
+
+
+@pytest.mark.parametrize(
+    "flag,value", [(flag, value) for flag, values in SIMULATE_OPTIONS.items() for value in values[1:]]
+)
+def test_simulate_option_exits_zero_one_or_two(tmp_path, pair_rows, flag, value):
+    """Every listed value once, the other options valid, so each reaches the code that reads it."""
+    assert_clean([run_simulate(tmp_path, pair_rows, {**VALID_OPTIONS, flag: value})], codes=(0, 1, 2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_simulate_argv_exits_zero_one_or_two(tmp_path_factory, pair_rows, data):
+    """Up to three options at once take a listed value; the rest stay valid."""
+    options = dict(VALID_OPTIONS)
+    for flag in sorted(data.draw(st.sets(st.sampled_from(sorted(SIMULATE_OPTIONS)), max_size=3))):
+        options[flag] = data.draw(st.sampled_from(SIMULATE_OPTIONS[flag]))
+    assert_clean([run_simulate(tmp_path_factory.mktemp("argv"), pair_rows, options)], codes=(0, 1, 2))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from retail_profiler import kernels, simulate
+from retail_profiler import kernels, metrics, simulate
 from retail_profiler.model import DataError
 from retail_profiler.pairing import PairTable, attach_kpis, build_pairs, read_pair_table, write_pair_table
 from retail_profiler.simulate import (
@@ -515,6 +515,11 @@ class TestReductionCurve:
     def test_equal_curves_give_zero(self):
         rows = reduction_curve(self.fake([0.3, 0.3]), self.fake_baseline([0.3, 0.3]), [1, 2])
         assert rows == [(1, 0.0), (2, 0.0)]
+        # any other pair gives the bits of metrics.reduction, the one formula
+        strategy, baseline = np.random.default_rng(17).uniform(0.0, 2.0, size=(2, 5))
+        rows = reduction_curve(self.fake(strategy), self.fake_baseline(baseline), range(1, 6))
+        expected = [metrics.reduction(float(b), float(m)) for b, m in zip(baseline, strategy)]
+        assert np.array([r for _, r in rows]).tobytes() == np.array(expected).tobytes()
 
     def test_perfect_strategy_gives_one(self):
         rows = reduction_curve(self.fake([0.0]), self.fake_baseline([0.4]), [1])
@@ -528,7 +533,8 @@ class TestReductionCurve:
         assert r == pytest.approx(0.559, abs=5e-4)
 
     def test_zero_baseline_rejected(self):
-        with pytest.raises(DataError):
+        message = "^baseline distance is zero; reduction is undefined$"
+        with pytest.raises(metrics.DegenerateReferenceError, match=message):
             reduction_curve(self.fake([0.1]), self.fake_baseline([0.0]), [1])
 
     def test_checkpoint_out_of_range(self):

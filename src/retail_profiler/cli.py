@@ -292,8 +292,7 @@ def cmd_simulate(args) -> int:
     if n > listed:
         raise DataError(f"-n {n} exceeds the {listed} customers the pair table lists")
 
-    out = _out_dir(args.out)
-    outputs: list[str] = []
+    # everything is computed before --out is made, so a failed run writes nothing
     curves = {}
     for s in strategies:
         if s == "random":
@@ -303,21 +302,23 @@ def cmd_simulate(args) -> int:
         else:
             seq = power_sequence(table, s, args.seed, per_customer=args.per_customer_power)
         curves[s] = accumulate_curve(seq.prefix(n), target)
-        name = f"curve_{s}.csv"
-        write_curve(curves[s], out / name)
-        outputs.append(name)
-
-    baseline = None
+    baseline = rows = None
     if "random" in strategies:
         baseline = baseline_band(
             dataset, target, n, reps=args.reps, seed=args.seed, threads=args.threads
         )
+        if "eid" in curves:
+            rows = reduction_curve(curves["eid"], baseline, _checkpoints(args.checkpoints, n))
+
+    out = _out_dir(args.out)
+    outputs: list[str] = []
+    for s, curve in curves.items():
+        write_curve(curve, out / f"curve_{s}.csv")
+        outputs.append(f"curve_{s}.csv")
+    if baseline is not None:
         write_baseline(baseline, out / "baseline.csv")
         outputs.append("baseline.csv")
-
-    if baseline is not None and "eid" in curves:
-        checkpoints = _checkpoints(args.checkpoints, n)
-        rows = reduction_curve(curves["eid"], baseline, checkpoints)
+    if rows is not None:
         write_reduction(rows, out / "reduction.csv")
         outputs.append("reduction.csv")
         for cn, r in rows:

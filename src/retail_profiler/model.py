@@ -33,8 +33,6 @@ CUSTOMER_CSV_HEADER = ("id", "nace", "location", "contracted_kw") + MONTH_COLUMN
 # Tolerance on the unit-mean invariant of target and pair profiles.
 MEAN_TOLERANCE = 1e-9
 
-TARGET_LABELS = ("flat", "solar", "complement", "custom")
-
 
 class DataError(Exception):
     """Input data violates a documented contract."""
@@ -57,11 +55,8 @@ class TargetProfile:
     """Desired 12-month demand shape (unit mean); negatives are permitted."""
 
     values: np.ndarray
-    label: str
 
     def __post_init__(self):
-        if self.label not in TARGET_LABELS:
-            raise ValueError(f"unknown target label {self.label!r}; expected one of {TARGET_LABELS}")
         arr = np.array(self.values, dtype=np.float64)
         if arr.shape != (MONTHS,):
             raise ValueError(f"target profile must have exactly {MONTHS} values, got shape {arr.shape}")

@@ -130,7 +130,7 @@ def build_pairs(dataset: CustomerDataset) -> PairTable:
     member_means = raw.mean(axis=1)
     shapes = kernels.unit_mean_rows(raw, member_means, out=raw)
     profiles = np.add.reduceat(shapes, starts, axis=0) / counts[:, None]
-    profiles /= profiles.mean(axis=1)[:, None]
+    kernels.unit_mean_rows(profiles, out=profiles)
     return PairTable(
         nace=groups.nace,
         location=groups.location,

@@ -235,7 +235,8 @@ def baseline_band(
     block's columns of the result. Split at chunk boundaries, a walk sums in
     the order of one whole-sequence call, so the band equals the quartiles of
     the full ``reps x n`` stack, which is never held. Repetitions may run on
-    a thread pool, each writing only its own row, so the outcome does not
+    a thread pool in ``threads`` contiguous slices, so at most ``threads``
+    are in flight; each writes only its own row, so the outcome does not
     depend on the thread count.
     """
     if reps < 1:
@@ -246,16 +247,20 @@ def baseline_band(
     carries = np.zeros((reps, dataset.raw_demand.shape[1]), dtype=np.float64)
     bands = np.empty((3, n), dtype=np.float64)
 
-    def one(lo: int, hi: int, rep: int) -> None:
-        seq = random_sequence(dataset, n, np.random.SeedSequence([seed, rep]))
-        block[rep, : hi - lo] = _distances(seq, target, lo, hi, carries[rep])
+    def walk(lo: int, hi: int, part: range) -> None:
+        for rep in part:
+            seq = random_sequence(dataset, n, np.random.SeedSequence([seed, rep]))
+            block[rep, : hi - lo] = _distances(seq, target, lo, hi, carries[rep])
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    workers = min(threads, reps)
+    slices = [range(reps * i // workers, reps * (i + 1) // workers) for i in range(workers)]
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
         for lo in range(0, n, width):
             hi = min(lo + width, n)
-            # either map re-raises the error of the lowest failing repetition
-            list((pool.map if pool else map)(partial(one, lo, hi), range(reps)))
+            # a slice stops at its first error, and either map re-raises the
+            # error of the lowest failing slice: the lowest failing repetition
+            list((pool.map if pool else map)(partial(walk, lo, hi), slices))
             bands[:, lo:hi] = _quartiles(block[:, : hi - lo])
     q1, median, q3 = bands
     return BaselineCurve(median=median, q1=q1, q3=q3, repetitions=reps)

@@ -46,6 +46,9 @@ SECTOR_NOISE_RANGE = (0.08, 0.2)
 SCALE_MEDIAN_KWH = 2000.0
 SCALE_LOG_SIGMA = 0.8
 
+# Past this many customers numpy cannot describe an n x 12 float64 array at all.
+MAX_CUSTOMERS = np.iinfo(np.intp).max // (MONTHS * 8)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -76,6 +79,8 @@ class SynthConfig:
             raise ValueError("n_customers, n_locations, n_nace, max_pair_size and seed must be integers below 2**63")
         if min(self.n_customers, self.n_locations, self.n_nace) < 1:
             raise ValueError("n_customers, n_locations and n_nace must all be >= 1")
+        if self.n_customers > MAX_CUSTOMERS:
+            raise ValueError(f"n_customers must be <= {MAX_CUSTOMERS}")
         if not 0.0 <= self.planted_fraction <= 1.0:
             raise ValueError("planted_fraction must be in [0, 1]")
         if not 0.0 <= self.noise_sigma < 1.0 / 3.0:

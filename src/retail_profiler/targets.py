@@ -1,9 +1,10 @@
 """Target-profile construction: flat, solar-shaped, and complement-of-aggregate.
 
-All constructors return unit-mean :class:`TargetProfile` objects. Per-group
-targets are expressed through a resolver callable (location -> target), so a
-single global target and a per-province solar table use the same downstream
-machinery; it is called once per distinct location of the pairs.
+All constructors return unit-mean :class:`TargetProfile` objects, normalized
+by ``kernels.unit_mean_rows`` as customer shapes are. Per-group targets are
+expressed through a resolver callable (location -> target), so a single global
+target and a per-province solar table use the same downstream machinery; it is
+called once per distinct location of the pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from retail_profiler import kernels
 from retail_profiler.model import (
     MONTH_COLUMNS,
     MONTHS,
@@ -63,47 +65,17 @@ class AggregateDemand:
         return float(self.values.mean())
 
 
-@dataclass(frozen=True, eq=False)
-class SolarTable:
-    """Monthly solar-radiation shape per province (relative units)."""
-
-    rows: Mapping[str, np.ndarray]
-
-    def __post_init__(self):
-        checked: dict[str, np.ndarray] = {}
-        for province, values in self.rows.items():
-            arr = np.array(values, dtype=np.float64)
-            if arr.shape != (MONTHS,):
-                raise ValueError(f"solar row for {province!r} must have {MONTHS} values")
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise ValueError(f"solar row for {province!r} must be finite and positive")
-            with np.errstate(over="ignore"):
-                if not np.isfinite(arr.sum()):
-                    raise ValueError(f"solar row for {province!r} sums past the float64 range")
-            arr.setflags(write=False)
-            checked[province] = arr
-        object.__setattr__(self, "rows", checked)
-
-    def row(self, province: str) -> np.ndarray:
-        try:
-            return self.rows[province]
-        except KeyError:
-            raise DataError(f"unknown province code: {province!r}") from None
-
-
 def flat_target() -> TargetProfile:
     """Constant demand: the same value in every month."""
-    return TargetProfile(np.ones(MONTHS), "flat")
+    return TargetProfile(np.ones(MONTHS))
 
 
-def solar_target(province: str, table: SolarTable) -> TargetProfile:
-    """The province's radiation shape, renormalized to unit mean.
-
-    Radiation rows are always renormalized here, whether or not the source
-    table was; one profile per province.
-    """
-    row = table.row(province)
-    return TargetProfile(row / row.mean(), "solar")
+def solar_target(province: str, table: Mapping[str, TargetProfile]) -> TargetProfile:
+    """The province's profile in a table :func:`load_solar_table` read."""
+    try:
+        return table[province]
+    except KeyError:
+        raise DataError(f"unknown province code: {province!r}") from None
 
 
 def complement_target(m: AggregateDemand) -> TargetProfile:
@@ -113,9 +85,7 @@ def complement_target(m: AggregateDemand) -> TargetProfile:
     g_j = 2 - m_j / mean(m). Months where m_j exceeds twice the mean come out
     negative; they are kept (no clamping) and reported via a warning.
     """
-    if m.mean <= 0.0:
-        raise DataError("aggregate demand mean must be positive")
-    g = 2.0 - m.values / m.mean
+    g = 2.0 - kernels.unit_mean_rows(m.values[None])[0]
     negative = np.flatnonzero(g < 0)
     if negative.size:
         months = ", ".join(str(int(j) + 1) for j in negative)
@@ -124,7 +94,7 @@ def complement_target(m: AggregateDemand) -> TargetProfile:
             NegativeTargetWarning,
             stacklevel=2,
         )
-    return TargetProfile(g, "complement")
+    return TargetProfile(g)
 
 
 def custom_target(values) -> TargetProfile:
@@ -135,12 +105,14 @@ def custom_target(values) -> TargetProfile:
     if not np.all(np.isfinite(arr)):
         raise ValueError("custom target contains non-finite values")
     with np.errstate(over="ignore"):
-        mean = arr.mean()
-    if not np.isfinite(mean):
+        total = arr.sum()
+    if not np.isfinite(total):
         raise ValueError("custom target values sum past the float64 range")
-    if mean <= 0:
+    if total <= 0:
         raise DataError("custom target must have a positive mean")
-    return TargetProfile(arr / mean, "custom")
+    # a sum cancelled to a subnormal can rescale months past float64; TargetProfile rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        return TargetProfile(kernels.unit_mean_rows(arr[None])[0])
 
 
 def default_solar_row(amplitude: float = DEFAULT_SOLAR_AMPLITUDE) -> np.ndarray:
@@ -156,8 +128,7 @@ def default_solar_row(amplitude: float = DEFAULT_SOLAR_AMPLITUDE) -> np.ndarray:
 
 
 def default_solar_target(amplitude: float = DEFAULT_SOLAR_AMPLITUDE) -> TargetProfile:
-    row = default_solar_row(amplitude)
-    return TargetProfile(row / row.mean(), "solar")
+    return TargetProfile(kernels.unit_mean_rows(default_solar_row(amplitude)[None])[0])
 
 
 def constant_resolver(target: TargetProfile) -> TargetResolver:
@@ -169,32 +140,27 @@ def constant_resolver(target: TargetProfile) -> TargetResolver:
     return resolve
 
 
-def solar_resolver(table: SolarTable, province_of: Callable[[str], str]) -> TargetResolver:
+def solar_resolver(table: Mapping[str, TargetProfile], province_of: Callable[[str], str]) -> TargetResolver:
     """Resolver mapping a location to its province's solar target.
 
-    Targets are built once per province and cached; ``province_of`` maps a
-    location code to a province code, raising KeyError for an unmapped one,
-    which the resolver reports as a DataError.
+    ``province_of`` maps a location code to a province code, raising KeyError
+    for an unmapped one, which the resolver reports as a DataError.
     """
-    cache: dict[str, TargetProfile] = {}
 
     def resolve(location: str) -> TargetProfile:
         try:
             province = province_of(location)
         except KeyError:
             raise DataError(f"location {location!r} has no province mapping") from None
-        got = cache.get(province)
-        if got is None:
-            got = cache[province] = solar_target(province, table)
-        return got
+        return solar_target(province, table)
 
     return resolve
 
 
-def load_solar_table(path) -> SolarTable:
-    """Read a solar table CSV (schema: province,m01..m12, positive decimals)."""
+def load_solar_table(path) -> dict[str, TargetProfile]:
+    """Each province's unit-mean profile in a solar table CSV (province,m01..m12, positive decimals)."""
     path = Path(path)
-    rows: dict[str, np.ndarray] = {}
+    rows: dict[str, TargetProfile] = {}
     for line, row in _csv_rows(path, SOLAR_TABLE_HEADER):
         if len(row) != len(SOLAR_TABLE_HEADER):
             raise SchemaError(f"{path}: line {line}: expected {len(SOLAR_TABLE_HEADER)} fields")
@@ -205,13 +171,15 @@ def load_solar_table(path) -> SolarTable:
             values = np.array([float(cell) for cell in row[1:]])
         except ValueError as exc:
             raise DataError(f"{path}: line {line}: malformed numeric field ({exc})") from None
-        rows[province] = values
+        if not np.all(np.isfinite(values)) or np.any(values <= 0):
+            raise DataError(f"{path}: solar row for {province!r} must be finite and positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(values.sum()):
+                raise DataError(f"{path}: solar row for {province!r} sums past the float64 range")
+        rows[province] = TargetProfile(kernels.unit_mean_rows(values[None])[0])
     if not rows:
         raise DataError(f"{path}: solar table has no rows")
-    try:
-        return SolarTable(rows)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return rows
 
 
 def load_aggregate_demand(path) -> AggregateDemand:

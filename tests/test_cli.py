@@ -210,9 +210,9 @@ class TestExitCodes:
         "config",
         [{"n_customers": 0}, {"noise_sigma": 0.5}, [1, 2, 3], {"seed": 1.5}, {"n_customers": 10.5},
          {"n_customers": 10**30}, {"pair_concentration": float("nan")}, {"scale_log_sigma": 0.8},
-         {"max_pair_size": 2**62}],
+         {"max_pair_size": 2**62}, {"n_customers": 2**62}],
         ids=["zero-count", "noise-sigma-too-large", "json-array", "float-seed", "float-count", "count-past-int64",
-             "nan-concentration", "former-setting", "max-pair-size-past-bound"],
+             "nan-concentration", "former-setting", "max-pair-size-past-bound", "count-past-array-size"],
     )
     def test_bad_synth_config_is_two(self, tmp_path, config):
         if isinstance(config, dict):
@@ -238,8 +238,8 @@ class TestExitCodes:
             ]
         else:
             path = tmp_path / "config.json"
-            # the planted pair sizes draw 2**62 * 0.02 / 2 float64 uniforms at once: 328 PiB
-            config = {"n_customers": 2**62, "n_locations": 5, "n_nace": 5, "planted_fraction": 0.02}
+            # the planted pair sizes draw 2**56 * 0.02 / 2 float64 uniforms at once: 5 PiB
+            config = {"n_customers": 2**56, "n_locations": 5, "n_nace": 5, "planted_fraction": 0.02}
             path.write_text(json.dumps(config))
             args = ["--config", str(path)]
         proc = run_cli(command, *args, "--out", str(tmp_path / "o"))
@@ -588,6 +588,17 @@ class TestSimulate:
         assert "must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_failed_baseline_writes_nothing(self, workspace, tmp_path, capsys):
+        # the eid curve is built before the baseline, whose 10**12 x 300 block is refused at once
+        args = [
+            "simulate", "--customers", str(workspace / "data" / "customers.csv"),
+            "--pairs", str(workspace / "kpis" / "pairs.csv"), "--target", "solar:default",
+            "-n", "300", "--reps", str(10**12), "--seed", "1", "--out", str(tmp_path / "sim"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "sim").exists()
+
     def test_thread_count_keeps_bytes(self, workspace, tmp_path):
         args = [
             "simulate",
@@ -690,7 +701,8 @@ class TestSimulate:
 class TestTargetSpecs:
     def test_flat(self):
         resolver, target, _ = parse_target_spec("flat")
-        assert target.label == "flat"
+        assert np.array_equal(target.values, np.ones(12))
+        assert resolver("L1") is target
 
     def test_custom_vector(self):
         resolver, target, _ = parse_target_spec("custom:" + ",".join(["2"] * 12))

@@ -1,13 +1,15 @@
 """CLI fuzz: mutated key cells never crash ``pairs``, ``stats`` or ``matrix``,
-and no argument list crashes ``simulate``.
+no target spec crashes ``pairs``, and no argument list crashes ``simulate``.
 
 Each input example mutates one tiny input file: a key cell of the customers,
 pair-table or mapping CSV, one numeric cell, a blank line after a data row, or
 a UTF-8 byte order mark before the header. The three commands
 then run in fresh interpreters, each with a timeout, and must exit 0 or 2
-without a traceback or a numpy RuntimeWarning on stderr. Each argument example
-runs ``simulate`` on the untouched files with option values drawn from fixed
-lists, and it must exit 0, 1 or 2 the same way. The examples are derandomized
+without a traceback or a numpy RuntimeWarning on stderr. Each target-spec
+example runs ``pairs`` with one numeric cell of a custom, solar or complement
+target's row edited, and each argument example runs ``simulate`` on the
+untouched files with option values drawn from fixed lists; both must exit 0,
+1 or 2 the same way. The examples are derandomized
 and never read from or saved to the example database, so a run tests the same
 inputs everywhere.
 """
@@ -18,6 +20,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 import retail_profiler
 from retail_profiler import pairing, targets
-from retail_profiler.model import CUSTOMER_CSV_HEADER
+from retail_profiler.cli import parse_target_spec
+from retail_profiler.model import CUSTOMER_CSV_HEADER, normalize_profile
 from tests.conftest import offset_demand
 
 TIMEOUT_S = 30
@@ -200,6 +204,52 @@ def test_huge_n_k_exits_two(tmp_path, pair_rows):
     procs = run_pipeline(tmp_path, files)
     assert_clean(procs[1:], codes=(2,))
     assert all("pairs.csv: line 2: n_k must be <= 1000000, got " in proc.stderr for proc in procs[1:])
+
+
+TARGET_KINDS = ["custom", "solar-at-province", "solar-per-province", "complement"]
+# twelve positive cells whose mean is below the smallest normal float64
+SUBNORMAL_ROW = ["5e-324"] * 11 + ["1.5e-323"]
+
+
+def target_spec(root: Path, kind: str, cells: list) -> str:
+    """A ``kind`` target spec whose one row (the custom values, P1's solar row or the aggregate) is ``cells``."""
+    if kind == "custom":
+        return "custom:" + ",".join(cells)
+    if kind == "complement":
+        write(root / "aggregate.csv", [cells], quoted=False)
+        return f"complement:{root / 'aggregate.csv'}"
+    write(root / "solar.csv", [SOLAR[0], ["P1", *cells], SOLAR[2]], quoted=False)
+    if kind == "solar-at-province":
+        return f"solar:{root / 'solar.csv'}@P1"
+    write(root / "location_map.csv", LOCATION_MAP, quoted=True)
+    return f"solar:{root / 'solar.csv'},{root / 'location_map.csv'}"
+
+
+def run_pairs(root: Path, spec: str):
+    write(root / "customers.csv", CUSTOMERS, quoted=True)
+    return run("pairs", "--customers", str(root / "customers.csv"), "--target", spec, "--out", str(root / "p"))
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+@pytest.mark.parametrize("edit", NUMBER_EDITS)
+def test_target_spec_exits_zero_one_or_two(tmp_path, kind, edit):
+    cells = SOLAR[1][1:]
+    cells[NUMBER_EDITS.index(edit) % len(cells)] = edit
+    assert_clean([run_pairs(tmp_path, target_spec(tmp_path, kind, cells))], codes=(0, 1, 2))
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_subnormal_mean_target_keeps_its_shape(tmp_path, kind):
+    """A target row is normalized as a customer's row is: one whose mean is subnormal keeps its shape."""
+    spec = target_spec(tmp_path, kind, SUBNORMAL_ROW)
+    assert_clean([run_pairs(tmp_path, spec)], codes=(0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", targets.NegativeTargetWarning)  # the complement's month 12
+        resolver, _, _ = parse_target_spec(spec)
+    expected = normalize_profile([float(cell) for cell in SUBNORMAL_ROW])
+    if kind == "complement":
+        expected = 2.0 - expected
+    assert resolver("P1-M1").values.tobytes() == expected.tobytes()
 
 
 def run_simulate(root: Path, pair_rows, options: dict):

@@ -16,7 +16,7 @@ from retail_profiler.metrics import (
 )
 from retail_profiler.model import DataError, normalize_profile
 from retail_profiler.pairing import attach_kpis, build_pairs
-from retail_profiler.targets import SolarTable, constant_resolver, custom_target, flat_target, solar_resolver
+from retail_profiler.targets import constant_resolver, custom_target, flat_target, solar_resolver
 from tests.conftest import flat_demand, make_dataset, offset_demand
 
 profiles = st.lists(
@@ -251,7 +251,7 @@ class TestCustomerDistances:
                 ("3", "A", "Lz", 1.0, offset_demand()),
             ]
         )
-        resolver = solar_resolver(SolarTable({"P": np.ones(12)}), {"Lm": "P"}.__getitem__)
+        resolver = solar_resolver({"P": flat_target()}, {"Lm": "P"}.__getitem__)
         with pytest.raises(DataError, match=r"^location 'Lz' has no province mapping$"):
             metrics.member_distances(ds, resolver)
 

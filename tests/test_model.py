@@ -68,19 +68,15 @@ class TestNormalize:
 
 
 class TestProfileTypes:
-    def test_target_profile_rejects_unknown_label(self):
-        with pytest.raises(ValueError):
-            TargetProfile(np.ones(12), "weird")
-
     def test_target_profile_allows_negative_months(self):
         values = np.ones(12)
         values[0], values[1] = -0.5, 2.5
-        target = TargetProfile(values, "complement")
+        target = TargetProfile(values)
         assert target.values[0] == -0.5
 
     def test_target_profile_enforces_unit_mean(self):
         with pytest.raises(ValueError, match=r"^target profile must have unit mean, got 1\.5$"):
-            TargetProfile(np.full(12, 1.5), "custom")
+            TargetProfile(np.full(12, 1.5))
 
     def test_values_are_read_only(self):
         profile = normalize_profile(np.ones(12))

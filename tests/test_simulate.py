@@ -410,6 +410,19 @@ class TestBaseline:
         assert np.all(band.q1 <= band.median + 1e-15)
         assert np.all(band.median <= band.q3 + 1e-15)
 
+    def test_threads_keep_memory_near_the_serial_peak(self):
+        # a pool fed one task per repetition would hold every pending task: here 14x the serial peak
+        ds = make_dataset([(f"C{i}", "X", "L1", 1.0, offset_demand(100, 5 * (i + 1))) for i in range(6)])
+        baseline_band(ds, FLAT, n=1, reps=1, seed=0)  # warm the dataset's cached masks
+        peaks = {}
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                baseline_band(ds, FLAT, n=1, reps=2_000, seed=0, threads=threads)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.25 * peaks[1]
 
     def test_blockwise_quartiles_equal_full_quantile(self):
         stack = np.random.default_rng(4).random((9, 2 * QUANTILE_BLOCK + 7))

@@ -156,7 +156,7 @@ class TestGenerate:
         negative[1] = 2.2
         from retail_profiler.model import TargetProfile
 
-        bad = TargetProfile(negative, "custom")
+        bad = TargetProfile(negative)
         with pytest.raises(DataError, match="strictly positive"):
             generate(small_config(), bad)
 

@@ -7,7 +7,7 @@ from retail_profiler.model import DataError
 from retail_profiler.targets import (
     AggregateDemand,
     NegativeTargetWarning,
-    SolarTable,
+    SOLAR_TABLE_HEADER,
     complement_target,
     constant_resolver,
     custom_target,
@@ -19,16 +19,26 @@ from retail_profiler.targets import (
     solar_resolver,
     solar_target,
 )
+from retail_profiler.model import normalize_profile
 
 aggregates = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=12, max_size=12
 ).filter(lambda xs: sum(xs) > 1e-9)
 
 
+def solar_table(tmp_path, rows: dict):
+    """The table ``load_solar_table`` reads from a CSV holding ``rows``."""
+    path = tmp_path / "solar.csv"
+    lines = [",".join(SOLAR_TABLE_HEADER)]
+    lines += [",".join([province] + [repr(float(v)) for v in values]) for province, values in rows.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return load_solar_table(path)
+
+
 class TestFlat:
     def test_all_ones(self):
         assert np.array_equal(flat_target().values, np.ones(12))
-        assert flat_target().label == "flat"
+        assert not flat_target().values.flags.writeable
 
     def test_self_distance_zero(self):
         assert profile_distance(flat_target(), flat_target()) == 0.0
@@ -38,19 +48,24 @@ class TestFlat:
 
 
 class TestSolar:
-    def test_constant_row_normalizes_to_ones(self):
-        table = SolarTable({"P36": [7.0] * 12})
+    def test_constant_row_normalizes_to_ones(self, tmp_path):
+        table = solar_table(tmp_path, {"P36": [7.0] * 12})
         assert np.array_equal(solar_target("P36", table).values, np.ones(12))
 
-    def test_scale_invariance(self):
+    def test_scale_invariance(self, tmp_path):
         row = list(np.linspace(1, 4, 12))
-        t1 = solar_target("A", SolarTable({"A": row}))
-        t2 = solar_target("A", SolarTable({"A": [3 * v for v in row]}))
+        t1 = solar_target("A", solar_table(tmp_path, {"A": row}))
+        t2 = solar_target("A", solar_table(tmp_path, {"A": [3 * v for v in row]}))
         assert np.allclose(t1.values, t2.values, rtol=1e-12, atol=0)
 
-    def test_unknown_province(self):
+    def test_unknown_province(self, tmp_path):
         with pytest.raises(DataError, match="unknown province"):
-            solar_target("XX", SolarTable({"A": [1.0] * 12}))
+            solar_target("XX", solar_table(tmp_path, {"A": [1.0] * 12}))
+
+    @pytest.mark.parametrize("row", [[5e-324] * 11 + [1.5e-323], list(np.linspace(1, 4, 12))], ids=["subnormal-mean", "normal"])
+    def test_row_normalizes_as_a_customer_shape(self, tmp_path, row):
+        target = solar_target("A", solar_table(tmp_path, {"A": row}))
+        assert target.values.tobytes() == normalize_profile(row).tobytes()
 
     def test_default_row_peaks_in_july_with_unit_mean(self):
         row = default_solar_row(amplitude=0.4)
@@ -66,12 +81,12 @@ class TestSolar:
             with pytest.raises(ValueError):
                 default_solar_row(bad)
 
-    def test_default_target_label(self):
-        assert default_solar_target().label == "solar"
+    def test_default_target_is_the_unit_mean_default_row(self):
+        assert default_solar_target().values.tobytes() == normalize_profile(default_solar_row()).tobytes()
 
-    def test_table_rejects_nonpositive_rows(self):
-        with pytest.raises(ValueError):
-            SolarTable({"A": [0.0] + [1.0] * 11})
+    def test_table_rejects_nonpositive_rows(self, tmp_path):
+        with pytest.raises(DataError, match=r"solar\.csv: solar row for 'A' must be finite and positive$"):
+            solar_table(tmp_path, {"A": [0.0] + [1.0] * 11})
 
 
 class TestComplement:
@@ -87,6 +102,12 @@ class TestComplement:
     def test_zero_aggregate_rejected(self):
         with pytest.raises(DataError):
             AggregateDemand([0.0] * 12)
+
+    def test_subnormal_mean_keeps_its_shape(self):
+        row = [5e-324] * 11 + [1.5e-323]
+        with pytest.warns(NegativeTargetWarning, match="month"):
+            target = complement_target(AggregateDemand(row))
+        assert target.values.tobytes() == (2.0 - normalize_profile(row)).tobytes()
 
     def test_negative_months_warn_but_are_kept(self):
         values = [1.0] * 11 + [25.0]  # mean 3, last month > 2*mean
@@ -119,7 +140,7 @@ class TestCustom:
     def test_renormalizes(self):
         t = custom_target([2.0] * 12)
         assert np.array_equal(t.values, np.ones(12))
-        assert t.label == "custom"
+        assert not t.values.flags.writeable
 
     def test_nonpositive_mean_rejected(self):
         with pytest.raises(DataError):
@@ -129,6 +150,19 @@ class TestCustom:
         with pytest.raises(ValueError, match="sum past the float64 range"):
             custom_target([1e308] * 12)
 
+    def test_subnormal_mean_keeps_its_shape(self):
+        row = [5e-324] * 11 + [1.5e-323]
+        assert custom_target(row).values.tobytes() == normalize_profile(row).tobytes()
+
+    def test_sum_cancelled_to_a_subnormal_past_the_rescaling_rejected(self):
+        # the sum is 5e-324; rescaled by 2**600, the months of 1e300 leave float64
+        with pytest.raises(ValueError, match="^target profile contains non-finite values$"):
+            custom_target([-1e300, 1e300, 5e-324] + [0.0] * 9)
+
+    def test_negative_month_with_positive_sum_is_kept(self):
+        t = custom_target([-1.0] + [1.0] * 11)
+        assert np.array_equal(t.values, np.array([-1.0] + [1.0] * 11) / (10 / 12))
+
 
 class TestResolvers:
     def test_constant(self):
@@ -136,13 +170,13 @@ class TestResolvers:
         resolve = constant_resolver(target)
         assert resolve("L") is target
 
-    def test_solar_resolver_uses_province_of_location(self):
-        table = SolarTable({province: default_solar_row(0.3) for province in ("P01", "P02")})
+    def test_solar_resolver_uses_province_of_location(self, tmp_path):
+        table = solar_table(tmp_path, {province: default_solar_row(0.3) for province in ("P01", "P02")})
         resolve = solar_resolver(table, lambda loc: loc.split("-")[0])
         t1 = resolve("P01-M0001")
         t2 = resolve("P01-M0099")
-        assert t1 is t2  # cached per province
-        assert resolve("P02-M0001").label == "solar"
+        assert t1 is t2  # one profile per province
+        assert resolve("P02-M0001") is table["P02"]
 
 
 class TestLoaders:
@@ -151,7 +185,8 @@ class TestLoaders:
         header = "province," + ",".join(f"m{j:02d}" for j in range(1, 13))
         path.write_text(header + "\nP36," + ",".join(["2.0"] * 12) + "\n")
         table = load_solar_table(path)
-        assert tuple(table.rows) == ("P36",)
+        assert tuple(table) == ("P36",)
+        assert np.array_equal(table["P36"].values, np.ones(12))
 
     def test_solar_table_bad_header(self, tmp_path):
         path = tmp_path / "solar.csv"
